@@ -15,7 +15,3 @@ class ResourceLimitError(RuntimeError):
 
 class ZeroValueError(ValueError):
     """Growth update requested at a weighting with zero polynomial value."""
-
-
-class DegenerateWeightingError(ValueError):
-    """Support minimization removed every weight."""

@@ -5,11 +5,13 @@ dominance order on r-sets, so enumeration walks ideals of that poset: edges
 are added in increasing colex rank, and a set may be added only once all of
 its direct descendants are present. Each down-set is produced exactly once.
 
-Every claim checker emits a VerificationReport. The solver certifies lower
+Each claim of the paper is one `ClaimSpec` row of `CLAIMS`, and `run_claim`
+checks any row, emitting a VerificationReport. The solver certifies lower
 bounds only, so strict-inequality claims can be falsified but never fully
 confirmed: a `pass` means no counterexample was found among the enumerated
-left-compressed graphs, `fail` carries a witness, and values inside the
-equality tolerance come back `inconclusive`.
+left-compressed graphs, `fail` carries a witness, values inside the
+equality tolerance come back `inconclusive`, and so does a check that finds
+no instances at all.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .colex import colex_unrank
+from .colex import colex_rank, colex_unrank
 from .errors import ResourceLimitError
 from .hypergraph import (
     RUniformHypergraph,
@@ -83,10 +85,6 @@ class VerificationReport:
     runtime_seconds: float
     rows: tuple[InstanceRow, ...] = field(default=(), repr=False)
     scope: str = ""
-
-
-def _claim_budget(m: int, r: int) -> Budget:
-    return Budget(max_vertices=m + r - 1, max_edges=max(40, m))
 
 
 def enumerate_left_compressed(
@@ -203,28 +201,6 @@ def lc_max_clique_order(g: RUniformHypergraph) -> int:
     return best
 
 
-def structural_predicate_4_5(g: RUniformHypergraph, t: int) -> bool:
-    """Whether missing link sets at the last vertex outweigh the pair link.
-
-    Compares the number of (r-1)-subsets of the first t-2 vertices that do
-    not complete vertex t into an edge against 2^(r-3) times the number of
-    edges through both t-1 and t.
-    """
-    if g.n != t:
-        raise ValueError(f"graph must be on exactly t = {t} vertices, has n = {g.n}")
-    if g.r < 3:
-        raise ValueError(f"predicate needs r >= 3, got {g.r}")
-    from itertools import combinations as _comb
-
-    missing = sum(
-        1
-        for a in _comb(range(1, t - 1), g.r - 1)
-        if tuple(sorted(a + (t,))) not in g.edge_set
-    )
-    pair = sum(1 for e in g.edges if (t - 1) in e and t in e)
-    return missing >= 2 ** (g.r - 3) * pair
-
-
 def _edge_hash(g: RUniformHypergraph) -> str:
     return hashlib.sha256(format_hypergraph(g).encode()).hexdigest()[:12]
 
@@ -258,129 +234,82 @@ _RELATIONS: dict[str, Callable[[float, float, float, bool], str]] = {
 _SCOPE_ENUM = (
     "left-compressed graphs only: pass means no left-compressed counterexample"
 )
+_MAX_WITNESSES = 20
 
 
-def _run_sweep(
+def _sweep(
     claim_id: str,
     parameters: dict,
-    instances: Iterable[tuple[RUniformHypergraph, float]],
+    groups: Iterable[Iterable[RUniformHypergraph]],
+    reference: float,
     relation: str,
     config: SolverConfig,
     scope: str,
 ) -> VerificationReport:
-    """Solve each (graph, reference) pair and fold verdicts into a report."""
+    """Solve every graph of every group against the reference and fold.
+
+    Witnesses are chosen per group: its first 20 instances that do not pass,
+    or, when every instance of the group passes, the one with the largest
+    margin. A sweep with no instances at all is inconclusive, never a pass.
+    """
     judge = _RELATIONS[relation]
     tol = config.equality_tolerance
     t0 = time.perf_counter()
     rows: list[InstanceRow] = []
     witnesses: list[Witness] = []
-    tightest: tuple[float, Witness] | None = None
-    for g, ref in instances:
-        rep = solve(g, config)
-        margin = rep.value - ref
-        verdict = judge(rep.value, ref, tol, rep.converged)
-        rows.append(
-            InstanceRow(g.m, _edge_hash(g), rep.value, ref, margin, verdict)
-        )
-        if verdict != "pass" and len(witnesses) < 20:
-            witnesses.append(Witness(format_hypergraph(g), rep.value, ref, margin))
-        elif tightest is None or margin > tightest[0]:
-            tightest = (margin, Witness(format_hypergraph(g), rep.value, ref, margin))
+    for graphs in groups:
+        found: list[Witness] = []
+        tightest: tuple[float, RUniformHypergraph, float] | None = None
+        for g in graphs:
+            rep = solve(g, config)
+            margin = rep.value - reference
+            verdict = judge(rep.value, reference, tol, rep.converged)
+            rows.append(
+                InstanceRow(g.m, _edge_hash(g), rep.value, reference, margin, verdict)
+            )
+            if verdict != "pass":
+                if len(found) < _MAX_WITNESSES:
+                    found.append(
+                        Witness(format_hypergraph(g), rep.value, reference, margin)
+                    )
+            elif tightest is None or margin > tightest[0]:
+                tightest = (margin, g, rep.value)
+        if not found and tightest is not None:
+            margin, g, value = tightest
+            found.append(Witness(format_hypergraph(g), value, reference, margin))
+        witnesses.extend(found)
     verdicts = {row.verdict for row in rows}
-    overall = "fail" if "fail" in verdicts else (
-        "inconclusive" if "inconclusive" in verdicts else "pass"
-    )
-    if overall == "pass" and tightest is not None:
-        witnesses.append(tightest[1])
+    if not rows:
+        overall = "inconclusive"
+        scope = f"vacuous: no instances in range; {scope}"
+    elif "fail" in verdicts:
+        overall = "fail"
+    elif "inconclusive" in verdicts:
+        overall = "inconclusive"
+    else:
+        overall = "pass"
     return VerificationReport(
         claim_id=claim_id,
         parameters=parameters,
         verdict=overall,
         instances_checked=len(rows),
-        witnesses=tuple(witnesses),
+        witnesses=tuple(witnesses[:_MAX_WITNESSES]),
         runtime_seconds=time.perf_counter() - t0,
         rows=tuple(rows),
         scope=scope,
     )
 
 
-def merge_reports(
-    claim_id: str, parameters: dict, reports: list[VerificationReport]
-) -> VerificationReport:
-    if not reports:
-        return VerificationReport(claim_id, parameters, "pass", 0, (), 0.0, (), "")
-    verdicts = {r.verdict for r in reports}
-    overall = "fail" if "fail" in verdicts else (
-        "inconclusive" if "inconclusive" in verdicts else "pass"
-    )
-    witnesses = tuple(w for r in reports for w in r.witnesses)[:20]
-    return VerificationReport(
-        claim_id=claim_id,
-        parameters=parameters,
-        verdict=overall,
-        instances_checked=sum(r.instances_checked for r in reports),
-        witnesses=witnesses,
-        runtime_seconds=sum(r.runtime_seconds for r in reports),
-        rows=tuple(row for r in reports for row in r.rows),
-        scope=reports[0].scope,
-    )
-
-
-def _default_m_values(lo: int, hi: int, r: int, t: int) -> list[int]:
-    """Default sweep: exhaustive for 3-graphs up to t = 7, sampled at t = 8,
-    endpoints only for r >= 4."""
-    if hi < lo:
-        return []
-    if r == 3:
-        if t <= 7:
-            return list(range(lo, hi + 1))
-        if t == 8:
-            step = max(1, (hi - lo) // 4)
-            return sorted({lo, hi, *range(lo, hi + 1, step)})
-        raise ResourceLimitError(
-            f"default enumeration budget covers t <= 8 for 3-graphs, got t = {t}; "
-            "pass explicit m values"
-        )
-    return sorted({lo, hi})
-
-
-def verify_colex_range(
-    r: int, t: int, config: SolverConfig | None = None
-) -> VerificationReport:
-    """Colex-prefix graphs across the stable edge range all match the value
-    of the complete graph one vertex smaller."""
-    if r < 2 or t < r + 1:
-        raise ValueError(f"need t >= r + 1 >= 3, got t = {t}, r = {r}")
-    cfg = config or HARNESS_SOLVER
-    lo = comb(t - 1, r)
-    hi = lo + comb(t - 2, r - 1)
-    ref = complete_lagrangian(t - 1, r)
-    return _run_sweep(
-        "lemma-2.2",
-        {"r": r, "t": t, "m_min": lo, "m_max": hi},
-        ((colex_graph(r, m), ref) for m in range(lo, hi + 1)),
-        "eq",
-        cfg,
-        scope="colex-prefix graphs",
-    )
-
-
-def verify_sharpness(
-    r: int, t: int, config: SolverConfig | None = None
-) -> VerificationReport:
+def _split_weighting(r: int, t: int, m: int, config: SolverConfig) -> VerificationReport:
     """One edge past the stable range, the split weighting (last two vertices
     at half weight) strictly beats the complete-graph value. Exact rationals."""
-    if r < 2 or t < r + 2:
-        raise ValueError(f"need t >= r + 2, got t = {t}, r = {r}")
-    cfg = config or HARNESS_SOLVER
     t0 = time.perf_counter()
-    m = comb(t - 1, r) + comb(t - 2, r - 1) + 1
     g = colex_graph(r, m)
     weights = [Fraction(1, t - 1)] * (t - 2) + [Fraction(1, 2 * (t - 1))] * 2
     value_exact = evaluate_exact(g, weights)
     ref_exact = complete_lagrangian_exact(t - 1, r)
     margin = value_exact - ref_exact
-    tol = Fraction(cfg.equality_tolerance).limit_denominator(10**15)
+    tol = Fraction(config.equality_tolerance).limit_denominator(10**15)
     if margin > tol:
         verdict = "pass"
     elif margin <= 0:
@@ -403,313 +332,194 @@ def verify_sharpness(
     )
 
 
-def _conjecture_range(r: int, t: int) -> tuple[int, int]:
-    return comb(t - 1, r), comb(t - 1, r) + comb(t - 2, r - 1)
-
-
-def verify_conjecture_with_clique(
-    r: int,
-    t: int,
-    m: int,
-    config: SolverConfig | None = None,
-    budget: Budget | None = None,
-) -> VerificationReport:
-    """Graphs in range containing the larger clique attain exactly the
-    complete-graph value."""
-    cfg = config or HARNESS_SOLVER
-    lo, hi = _conjecture_range(r, t)
-    if not lo <= m <= hi:
-        raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
-    ref = complete_lagrangian(t - 1, r)
-    graphs = enumerate_left_compressed(
-        r,
-        m,
-        m + r - 1,
-        budget or _claim_budget(m, r),
-        seed_prefix=comb(t - 1, r),
-    )
-    return _run_sweep(
-        "conjecture-2.1",
-        {"r": r, "t": t, "m": m},
-        ((g, ref) for g in graphs),
-        "eq",
-        cfg,
-        scope=_SCOPE_ENUM,
-    )
-
-
-def verify_conjecture_without_clique(
-    r: int,
-    t: int,
-    m: int,
-    config: SolverConfig | None = None,
-    budget: Budget | None = None,
-) -> VerificationReport:
-    """Graphs in range with no clique of order t-1 stay strictly below the
-    complete-graph value."""
-    cfg = config or HARNESS_SOLVER
-    lo, hi = _conjecture_range(r, t)
-    if not lo <= m <= hi:
-        raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
-    ref = complete_lagrangian(t - 1, r)
-    graphs = enumerate_left_compressed(
-        r,
-        m,
-        m + r - 1,
-        budget or _claim_budget(m, r),
-        forbidden_ranks={comb(t - 1, r)},
-    )
-    return _run_sweep(
-        "conjecture-2.2",
-        {"r": r, "t": t, "m": m},
-        ((g, ref) for g in graphs),
-        "lt",
-        cfg,
-        scope=_SCOPE_ENUM,
-    )
-
-
-def verify_theorem_3_1(
-    t: int,
-    config: SolverConfig | None = None,
-    budget: Budget | None = None,
-    m_values: list[int] | None = None,
-) -> VerificationReport:
-    """3-graphs containing the near-complete block on t-1 vertices but not
-    the full block stay strictly below the complete-graph value (t >= 6)."""
-    if t < 6:
-        raise ValueError(f"claim requires t >= 6, got t = {t}")
-    cfg = config or HARNESS_SOLVER
-    lo = comb(t - 1, 3)
-    hi = lo + comb(t - 2, 2)
-    ms = m_values if m_values is not None else _default_m_values(lo, hi, 3, t)
-    ref = complete_lagrangian(t - 1, 3)
-    reports = []
-    for m in ms:
-        graphs = enumerate_left_compressed(
-            3,
-            m,
-            m + 2,
-            budget or _claim_budget(m, 3),
-            seed_prefix=lo - 1,
-            forbidden_ranks={lo},
+def _default_m_values(lo: int, hi: int, r: int, t: int) -> list[int]:
+    """Default sweep: exhaustive for 3-graphs up to t = 7, sampled at t = 8,
+    endpoints only for r >= 4."""
+    if hi < lo:
+        return []
+    if r == 3:
+        if t <= 7:
+            return list(range(lo, hi + 1))
+        if t == 8:
+            step = max(1, (hi - lo) // 4)
+            return sorted({lo, hi, *range(lo, hi + 1, step)})
+        raise ResourceLimitError(
+            f"default enumeration budget covers t <= 8 for 3-graphs, got t = {t}; "
+            "pass explicit m values"
         )
-        reports.append(
-            _run_sweep(
-                "theorem-3.1",
-                {"r": 3, "t": t, "m": m},
-                ((g, ref) for g in graphs),
-                "lt",
-                cfg,
-                scope=_SCOPE_ENUM,
-            )
-        )
-    return merge_reports(
-        "theorem-3.1", {"r": 3, "t": t, "m_values": ms}, reports
-    )
+    return sorted({lo, hi})
 
 
-def verify_theorem_4_x(
-    variant: str,
-    t: int,
-    r: int | None = None,
-    config: SolverConfig | None = None,
-    budget: Budget | None = None,
-    m_values: list[int] | None = None,
-) -> VerificationReport:
-    """Clique-anchored range claims: 4.1 (maximum clique two smaller, strict),
-    4.2 (clique two smaller on t vertices, non-strict, r >= 4), 4.3
-    (4-graphs with the larger clique, equality)."""
-    cfg = config or HARNESS_SOLVER
-    if variant == "4.1":
-        if t < 5:
-            raise ValueError(f"variant 4.1 needs t >= 5, got {t}")
-        rr = 3
-        lo = comb(t - 1, 3)
-        hi = (2 * (comb(t - 1, 3) + comb(t - 2, 2)) - (t - 2)) // 2
-        seed, forbid, relation = comb(t - 2, 3), {comb(t - 1, 3)}, "lt"
-        n_for = lambda m: m + rr - 1
-    elif variant == "4.2":
-        rr = 4 if r is None else r
-        if rr < 4:
-            raise ValueError(f"variant 4.2 needs r >= 4, got {rr}")
-        if t < rr + 2:
-            raise ValueError(f"variant 4.2 needs t >= r + 2, got t = {t}")
-        lo = comb(t - 1, rr)
-        hi = lo + comb(t - 2, rr - 1) - 2 ** (rr - 2) * (comb(t - 2, rr - 2) - 1)
-        seed, forbid, relation = comb(t - 2, rr), set(), "le"
-        n_for = lambda m: t
-    elif variant == "4.3":
-        rr = 4
-        if t < 6:
-            raise ValueError(f"variant 4.3 needs t >= 6, got {t}")
-        lo = comb(t - 1, 4)
-        hi = lo + comb((t - 2) // 2, 3)
-        seed, forbid, relation = comb(t - 1, 4), set(), "eq"
-        n_for = lambda m: m + rr - 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected 4.1, 4.2, or 4.3")
-
-    claim_id = f"theorem-{variant}"
-    ms = m_values if m_values is not None else _default_m_values(lo, hi, rr, t)
-    ref = complete_lagrangian(t - 1, rr)
-    reports = []
-    for m in ms:
-        if seed > m:
-            continue
-        graphs = enumerate_left_compressed(
-            rr,
-            m,
-            n_for(m),
-            budget or _claim_budget(m, rr),
-            seed_prefix=seed,
-            forbidden_ranks=forbid,
-        )
-        reports.append(
-            _run_sweep(
-                claim_id,
-                {"r": rr, "t": t, "m": m},
-                ((g, ref) for g in graphs),
-                relation,
-                cfg,
-                scope=_SCOPE_ENUM,
-            )
-        )
-    return merge_reports(claim_id, {"r": rr, "t": t, "m_values": ms}, reports)
+# --- claim table and sweep --------------------------------------------------
 
 
-def verify_theorem_5_1(
-    t: int,
-    config: SolverConfig | None = None,
-    budget: Budget | None = None,
-    m_values: list[int] | None = None,
-) -> VerificationReport:
-    """No left-compressed 3-graph beats the colex prefix with the same edge
-    count, for edge counts in the restricted range."""
-    if t < 5:
-        raise ValueError(f"claim needs t >= 5, got t = {t}")
-    cfg = config or HARNESS_SOLVER
-    lo = comb(t - 1, 3)
-    hi = lo + comb(t - 2, 2) - (t - 4)
-    ms = m_values if m_values is not None else _default_m_values(lo, hi, 3, t)
-    reports = []
-    for m in ms:
-        baseline = solve(colex_graph(3, m), cfg).value
-        graphs = enumerate_left_compressed(3, m, m + 2, budget or _claim_budget(m, 3))
-        reports.append(
-            _run_sweep(
-                "theorem-5.1",
-                {"r": 3, "t": t, "m": m},
-                ((g, baseline) for g in graphs),
-                "le",
-                cfg,
-                scope=_SCOPE_ENUM + "; reference is the solved colex prefix",
-            )
-        )
-    return merge_reports(
-        "theorem-5.1", {"r": 3, "t": t, "m_values": ms}, reports
-    )
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One claim of the paper, as data.
 
-
-def verify_corollary_3_x(
-    variant: str,
-    t: int,
-    config: SolverConfig | None = None,
-    budget: Budget | None = None,
-    m_values: list[int] | None = None,
-) -> VerificationReport:
-    """Filtered strict-inequality sweeps on the vertex set [t] without the
-    larger clique: 3.1 bounds the pair link at the last two vertices by 3;
-    3.2 bounds the edge-set difference from the colex prefix by 6."""
-    if variant not in ("3.1", "3.2"):
-        raise ValueError(f"unknown variant {variant!r}; expected 3.1 or 3.2")
-    if t < 5:
-        raise ValueError(f"claim needs t >= 5, got t = {t}")
-    cfg = config or HARNESS_SOLVER
-    lo = comb(t - 1, 3)
-    hi = lo + comb(t - 2, 2)
-    ms = m_values if m_values is not None else _default_m_values(lo, hi, 3, t)
-    ref = complete_lagrangian(t - 1, 3)
-    claim_id = f"corollary-{variant}"
-    reports = []
-    for m in ms:
-        colex_edges = set(colex_graph(3, m).edges)
-
-        def keep(g: RUniformHypergraph, m_local=m, colex_local=colex_edges) -> bool:
-            if variant == "3.1":
-                pair = sum(1 for e in g.edges if (t - 1) in e and t in e)
-                return pair <= 3
-            return len(g.edge_set ^ colex_local) <= 6
-
-        graphs = enumerate_left_compressed(
-            3,
-            m,
-            t,
-            budget or Budget(max_vertices=t, max_edges=max(40, m)),
-            forbidden_ranks={comb(t - 1, 3)},
-        )
-        reports.append(
-            _run_sweep(
-                claim_id,
-                {"r": 3, "t": t, "m": m},
-                ((g, ref) for g in graphs if keep(g)),
-                "lt",
-                cfg,
-                scope=_SCOPE_ENUM,
-            )
-        )
-    return merge_reports(claim_id, {"r": 3, "t": t, "m_values": ms}, reports)
-
-
-def extremal_block_deficit(
-    m: int, config: SolverConfig | None = None, budget: Budget | None = None
-) -> dict:
-    """Structural check on the empirical extremal graph with m edges.
-
-    Among all left-compressed 3-graphs with m edges, take the one whose
-    solved value is largest and count the 3-subsets of its top support block
-    (first k-1 supported vertices) that are not edges. For a true extremal
-    graph that count should not exceed k-2; because the solver certifies
-    lower bounds only, callers should report violations rather than assert.
+    Every claim reads: for clique order t and each edge count m in
+    `m_range(t, r)`, the Lagrangian of each instance relates by `relation`
+    to the value of the complete r-graph on t - 1 vertices. By default the
+    instances are the left-compressed r-graphs with m edges on
+    `n_for(t, r, m)` vertices that hold the first `seed_prefix(t, r)` colex
+    ranks, avoid the ranks in `forbidden(t, r)` and satisfy `keep(g, t, m)`.
+    `instances` names the two rows that check something else: every colex
+    prefix of the range, or one explicit weighting in exact arithmetic.
     """
-    from itertools import combinations as _comb
 
-    cfg = config or HARNESS_SOLVER
-    best = None
-    for g in enumerate_left_compressed(3, m, m + 2, budget or _claim_budget(m, 3)):
-        rep = solve(g, cfg)
-        if best is None or rep.value > best[1].value:
-            best = (g, rep)
-    g, rep = best
-    k = len(rep.support)
-    missing = sum(
-        1 for e in _comb(range(1, k), 3) if e not in g.edge_set
-    )
-    return {
-        "graph": g,
-        "value": rep.value,
-        "support_size": k,
-        "missing": missing,
-        "bound": max(k - 2, 0),
-        "within_bound": missing <= max(k - 2, 0),
-    }
+    description: str
+    relation: str  # "eq", "lt" or "le"; "gt" for the exact split weighting
+    m_range: Callable[[int, int], tuple[int, int]]
+    r: int = 3  # the uniformity; only a default when r_min is set
+    r_min: int | None = None
+    min_t_over_r: int = 2  # the claim needs t >= r + min_t_over_r
+    instances: str = "left-compressed"  # or "colex-prefixes", "split-weighting"
+    seed_prefix: Callable[[int, int], int] = lambda t, r: 0
+    forbidden: Callable[[int, int], tuple[int, ...]] = lambda t, r: ()
+    n_for: Callable[[int, int, int], int] = lambda t, r, m: m + r - 1
+    keep: Callable[[RUniformHypergraph, int, int], bool] | None = None
+    scope: str = _SCOPE_ENUM
 
 
-# --- claim registry and dispatch --------------------------------------------
+def _stable_range(t: int, r: int) -> tuple[int, int]:
+    """Edge counts where the colex prefix has the complete-graph value."""
+    lo = comb(t - 1, r)
+    return lo, lo + comb(t - 2, r - 1)
 
-CLAIM_DESCRIPTIONS = {
-    "lemma-2.2": "colex prefixes across the stable range match the complete-graph value",
-    "sharpness": "one edge past the stable range, the split weighting exceeds it",
-    "conjecture-2.1": "clique-bearing graphs in range attain the complete-graph value",
-    "conjecture-2.2": "clique-free graphs in range stay strictly below",
-    "theorem-3.1": "near-complete block without the full block stays strictly below (t >= 6)",
-    "theorem-4.1": "maximum clique two smaller stays strictly below (restricted range)",
-    "theorem-4.2": "clique two smaller on t vertices stays at or below (r >= 4)",
-    "theorem-4.3": "4-graphs with the larger clique attain equality (narrow range)",
-    "theorem-5.1": "colex prefix is value-maximal among equal-size graphs (restricted range)",
-    "corollary-3.1": "on [t], no larger clique, pair link at most 3: strictly below",
-    "corollary-3.2": "on [t], no larger clique, near the colex prefix: strictly below",
+
+def _clique(t: int, r: int) -> int:
+    """The complete graph on t - 1 vertices is the first C(t-1, r) colex ranks."""
+    return comb(t - 1, r)
+
+
+def _no_clique(t: int, r: int) -> tuple[int, ...]:
+    """Without the last edge of the complete graph on t - 1 vertices, no
+    left-compressed graph contains that clique."""
+    return (comb(t - 1, r),)
+
+
+def _pair_link_at_most_3(g: RUniformHypergraph, t: int, m: int) -> bool:
+    return sum(1 for e in g.edges if t - 1 in e and t in e) <= 3
+
+
+def _within_6_of_colex(g: RUniformHypergraph, t: int, m: int) -> bool:
+    # g and the colex prefix both have m edges, so their symmetric difference
+    # is twice the number of edges of g ranked past m.
+    return 2 * sum(1 for e in g.edges if colex_rank(e) > m) <= 6
+
+
+CLAIMS: dict[str, ClaimSpec] = {
+    "lemma-2.2": ClaimSpec(
+        "colex prefixes across the stable range match the complete-graph value",
+        "eq",
+        _stable_range,
+        r_min=2,
+        min_t_over_r=1,
+        instances="colex-prefixes",
+        scope="colex-prefix graphs",
+    ),
+    "sharpness": ClaimSpec(
+        "one edge past the stable range, the split weighting exceeds it (exact rationals)",
+        "gt",
+        lambda t, r: (_stable_range(t, r)[1] + 1,) * 2,
+        r_min=2,
+        instances="split-weighting",
+    ),
+    "conjecture-2.1": ClaimSpec(
+        "clique-bearing graphs in range attain the complete-graph value",
+        "eq",
+        _stable_range,
+        r_min=2,
+        min_t_over_r=1,
+        seed_prefix=_clique,
+    ),
+    "conjecture-2.2": ClaimSpec(
+        "clique-free graphs in range stay strictly below",
+        "lt",
+        _stable_range,
+        r_min=2,
+        min_t_over_r=1,
+        forbidden=_no_clique,
+    ),
+    "theorem-3.1": ClaimSpec(
+        "near-complete block without the full block stays strictly below (t >= 6)",
+        "lt",
+        _stable_range,
+        min_t_over_r=3,
+        seed_prefix=lambda t, r: _clique(t, r) - 1,
+        forbidden=_no_clique,
+    ),
+    "theorem-4.1": ClaimSpec(
+        "maximum clique two smaller stays strictly below (restricted range)",
+        "lt",
+        lambda t, r: (
+            comb(t - 1, 3),
+            (2 * (comb(t - 1, 3) + comb(t - 2, 2)) - (t - 2)) // 2,
+        ),
+        seed_prefix=lambda t, r: comb(t - 2, 3),
+        forbidden=_no_clique,
+    ),
+    "theorem-4.2": ClaimSpec(
+        "clique two smaller on t vertices stays at or below (r >= 4)",
+        "le",
+        lambda t, r: (
+            comb(t - 1, r),
+            comb(t - 1, r) + comb(t - 2, r - 1) - 2 ** (r - 2) * (comb(t - 2, r - 2) - 1),
+        ),
+        r=4,
+        r_min=4,
+        seed_prefix=lambda t, r: comb(t - 2, r),
+        n_for=lambda t, r, m: t,
+    ),
+    "theorem-4.3": ClaimSpec(
+        "4-graphs with the larger clique attain equality (narrow range)",
+        "eq",
+        lambda t, r: (comb(t - 1, 4), comb(t - 1, 4) + comb((t - 2) // 2, 3)),
+        r=4,
+        seed_prefix=_clique,
+    ),
+    "theorem-5.1": ClaimSpec(
+        "colex prefix is value-maximal among equal-size graphs (restricted range)",
+        "le",
+        lambda t, r: (comb(t - 1, 3), comb(t - 1, 3) + comb(t - 2, 2) - (t - 4)),
+        scope=_SCOPE_ENUM
+        + "; reference is the complete-graph value, which lemma-2.2 gives the"
+        " colex prefix throughout this range",
+    ),
+    "corollary-3.1": ClaimSpec(
+        "on [t], no larger clique, pair link at the last two vertices <= 3: strictly below",
+        "lt",
+        _stable_range,
+        forbidden=_no_clique,
+        n_for=lambda t, r, m: t,
+        keep=_pair_link_at_most_3,
+    ),
+    "corollary-3.2": ClaimSpec(
+        "on [t], no larger clique, edge set within 6 of the colex prefix: strictly below",
+        "lt",
+        _stable_range,
+        forbidden=_no_clique,
+        n_for=lambda t, r, m: t,
+        keep=_within_6_of_colex,
+    ),
 }
+
+
+def _left_compressed_instances(
+    spec: ClaimSpec, t: int, r: int, m: int, budget: Budget | None
+) -> Iterator[RUniformHypergraph]:
+    n = spec.n_for(t, r, m)
+    graphs = enumerate_left_compressed(
+        r,
+        m,
+        n,
+        budget or Budget(max_vertices=n, max_edges=max(40, m)),
+        seed_prefix=spec.seed_prefix(t, r),
+        forbidden_ranks=spec.forbidden(t, r),
+    )
+    if spec.keep is None:
+        return graphs
+    return (g for g in graphs if spec.keep(g, t, m))
 
 
 def run_claim(
@@ -720,37 +530,48 @@ def run_claim(
     config: SolverConfig | None = None,
     budget: Budget | None = None,
 ) -> VerificationReport:
-    """Dispatch a claim check by id; sweeps the default ranges when m is None."""
-    if claim_id not in CLAIM_DESCRIPTIONS:
-        known = ", ".join(sorted(CLAIM_DESCRIPTIONS))
+    """Check the claim `claim_id` of `CLAIMS` at clique order t.
+
+    Sweeps the claim's default edge counts when m is None. Raises ValueError
+    for an unknown claim, a missing t, and a t, r or m the claim's row rules
+    out.
+    """
+    spec = CLAIMS.get(claim_id)
+    if spec is None:
+        known = ", ".join(sorted(CLAIMS))
         raise ValueError(f"unknown claim {claim_id!r}; known claims: {known}")
     if t is None:
         raise ValueError(f"claim {claim_id} requires --t")
-    ms = None if m is None else [m]
-    if claim_id in ("lemma-2.2", "sharpness"):
-        if m is not None:
-            raise ValueError(f"claim {claim_id} does not take --m")
-        if claim_id == "lemma-2.2":
-            return verify_colex_range(r if r is not None else 3, t, config)
-        return verify_sharpness(r if r is not None else 3, t, config)
-    if claim_id in ("conjecture-2.1", "conjecture-2.2"):
-        rr = r if r is not None else 3
-        fn = (
-            verify_conjecture_with_clique
-            if claim_id == "conjecture-2.1"
-            else verify_conjecture_without_clique
+    if r is None:
+        r = spec.r
+    elif spec.r_min is None and r != spec.r:
+        raise ValueError(f"claim {claim_id} is about {spec.r}-graphs, got r = {r}")
+    elif spec.r_min is not None and r < spec.r_min:
+        raise ValueError(f"claim {claim_id} needs r >= {spec.r_min}, got r = {r}")
+    if t < r + spec.min_t_over_r:
+        raise ValueError(
+            f"claim {claim_id} needs t >= {r + spec.min_t_over_r}, got t = {t}"
         )
-        lo, hi = _conjecture_range(rr, t)
-        values = ms if ms is not None else _default_m_values(lo, hi, rr, t)
-        reports = [fn(rr, t, mm, config, budget) for mm in values]
-        return merge_reports(claim_id, {"r": rr, "t": t, "m_values": values}, reports)
-    if claim_id == "theorem-3.1":
-        return verify_theorem_3_1(t, config, budget, ms)
-    if claim_id.startswith("theorem-4."):
-        return verify_theorem_4_x(claim_id.removeprefix("theorem-"), t, r, config, budget, ms)
-    if claim_id == "theorem-5.1":
-        return verify_theorem_5_1(t, config, budget, ms)
-    return verify_corollary_3_x(claim_id.removeprefix("corollary-"), t, config, budget, ms)
+    lo, hi = spec.m_range(t, r)
+    if m is not None:
+        if spec.instances != "left-compressed":
+            raise ValueError(f"claim {claim_id} does not take --m")
+        if not lo <= m <= hi:
+            raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
+    cfg = config or HARNESS_SOLVER
+    if spec.instances == "split-weighting":
+        return _split_weighting(r, t, lo, cfg)
+    reference = complete_lagrangian(t - 1, r)
+    if spec.instances == "colex-prefixes":
+        parameters = {"r": r, "t": t, "m_min": lo, "m_max": hi}
+        groups = [(colex_graph(r, k) for k in range(lo, hi + 1))]
+    else:
+        ms = [m] if m is not None else _default_m_values(lo, hi, r, t)
+        parameters = {"r": r, "t": t, "m_values": ms}
+        groups = (_left_compressed_instances(spec, t, r, k, budget) for k in ms)
+    return _sweep(
+        claim_id, parameters, groups, reference, spec.relation, cfg, spec.scope
+    )
 
 
 # --- serialization -----------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
 from typing import Iterable
 
 from .colex import RSet, colex_rank, rset
@@ -312,29 +311,6 @@ def maximal_cliques(
     if cap is not None:
         found = found[:cap]
     return found
-
-
-def contains_near_clique(g: RUniformHypergraph, t: int) -> bool:
-    """True iff some (t-1)-subset of vertices induces all its r-subsets
-    as edges with at most one missing."""
-    k = t - 1
-    if k < g.r:
-        return k >= 0
-    needed = comb(k, g.r) - 1
-    # Every vertex of a qualifying subset meets >= C(k-1, r-1) - 1 of its edges.
-    min_deg = comb(k - 1, g.r - 1) - 1
-    degree: dict[int, int] = {}
-    for e in g.edges:
-        for v in e:
-            degree[v] = degree.get(v, 0) + 1
-    candidates = [v for v in range(1, g.n + 1) if degree.get(v, 0) >= min_deg]
-    if len(candidates) < k:
-        return False
-    for subset in combinations(candidates, k):
-        count = sum(1 for e in combinations(subset, g.r) if e in g.edge_set)
-        if count >= needed:
-            return True
-    return False
 
 
 # --- text format -----------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeightingError, ZeroValueError
+from .errors import ZeroValueError
 from .hypergraph import (
     LinkView,
     RUniformHypergraph,
@@ -228,32 +228,6 @@ def _kkt_rows(
     sup = np.where(on_support, np.abs(dev), 0.0).max(axis=1)
     off = np.where(~on_support, dev, 0.0).max(axis=1, initial=0.0)
     return sup + np.maximum(off, 0.0)
-
-
-def minimize_support(
-    g: RUniformHypergraph,
-    x: Sequence[float],
-    threshold: float = 1e-9,
-    config: SolverConfig | None = None,
-) -> np.ndarray:
-    """Drop weights at or below the threshold, renormalize, and re-polish."""
-    cfg = config or SolverConfig()
-    arr = _as_weights(g, x)
-    _check_feasible(arr)
-    kept = np.where(arr > threshold, arr, 0.0)
-    total = kept.sum()
-    if total <= 0.0:
-        raise DegenerateWeightingError(
-            f"all {g.n} weights at or below threshold {threshold}"
-        )
-    kept /= total
-    eidx = _edge_index(g)
-    if _batch_value(eidx, kept[None, :])[0] <= 0.0:
-        return kept
-    out, _, _ = _ascend(
-        eidx, g.n, g.r, kept[None, :], cfg.max_iterations, cfg.step_gain_floor
-    )
-    return out[0]
 
 
 def sorted_polish(

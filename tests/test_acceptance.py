@@ -28,10 +28,8 @@ from hyperlag import (
     is_left_compressed,
     left_compress,
     motzkin_straus_value,
+    run_claim,
     solve,
-    verify_conjecture_without_clique,
-    verify_theorem_3_1,
-    verify_theorem_5_1,
 )
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
@@ -136,7 +134,7 @@ def test_criterion_5_clique_free_range_sweep():
         lo = comb(t - 1, 3)
         hi = lo + comb(t - 2, 2)
         for m in range(lo, hi + 1):
-            rep = verify_conjecture_without_clique(3, t, m)
+            rep = run_claim("conjecture-2.2", t=t, r=3, m=m)
             checked += rep.instances_checked
             failures += sum(1 for row in rep.rows if row.verdict == "fail")
             bad_margin += sum(
@@ -150,7 +148,7 @@ def test_criterion_5_clique_free_range_sweep():
 
 
 def test_criterion_6_near_clique_sweep_t6():
-    rep = verify_theorem_3_1(6)
+    rep = run_claim("theorem-3.1", t=6)
     strict = all(row.value < 0.08 - 1e-6 for row in rep.rows)
     _report(
         "criterion-6 near-complete block strict inequality (t=6)",
@@ -163,7 +161,7 @@ def test_criterion_7_colex_prefix_is_maximal():
     ok = True
     checked = 0
     for t in (5, 6):
-        rep = verify_theorem_5_1(t)
+        rep = run_claim("theorem-5.1", t=t)
         ok &= rep.verdict == "pass"
         ok &= all(row.value <= row.reference + 1e-6 for row in rep.rows)
         checked += rep.instances_checked

@@ -152,6 +152,34 @@ def test_verify_rejects_m_for_range_claims(capsys):
     assert "does not take --m" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["theorem-3.1", "--t", "6", "--m", "9"], "outside claim range [10, 16]"),
+        (["theorem-4.1", "--t", "5", "--m", "2"], "outside claim range [4, 5]"),
+        (["theorem-5.1", "--t", "5", "--m", "9"], "outside claim range [4, 6]"),
+        (["corollary-3.1", "--t", "5", "--m", "3"], "outside claim range [4, 7]"),
+        (["theorem-4.3", "--t", "7", "--m", "40"], "outside claim range [15, 15]"),
+        (["theorem-4.1", "--t", "5", "--r", "4"], "is about 3-graphs"),
+        (["theorem-4.2", "--t", "8", "--r", "3"], "needs r >= 4"),
+        (["theorem-3.1", "--t", "5"], "needs t >= 6"),
+    ],
+)
+def test_verify_rejects_parameters_outside_the_claim(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_verify_no_instances_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "verify", "corollary-3.1", "--t", "5", "--m", "7")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["instances_checked"] == 0
+    assert doc["scope"].startswith("vacuous: no instances in range")
+
+
 def test_verify_budget_flag(capsys):
     code, _, err = run(
         capsys,

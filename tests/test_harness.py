@@ -1,9 +1,11 @@
 import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from hyperlag import (
+    CLAIMS,
     Budget,
     ResourceLimitError,
     SolverConfig,
@@ -14,22 +16,12 @@ from hyperlag import (
     is_left_compressed,
     lc_max_clique_order,
     max_clique_order,
-    merge_reports,
     report_to_csv,
     report_to_json,
     report_to_text,
     run_claim,
-    structural_predicate_4_5,
-    verify_colex_range,
-    verify_conjecture_with_clique,
-    verify_conjecture_without_clique,
-    verify_corollary_3_x,
-    verify_sharpness,
-    verify_theorem_3_1,
-    verify_theorem_4_x,
-    verify_theorem_5_1,
 )
-from hyperlag.harness import _run_sweep, extremal_block_deficit
+from hyperlag.harness import _sweep
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
 
@@ -108,88 +100,75 @@ class TestEnumeration:
                 assert lc_max_clique_order(g) == max_clique_order(g)
 
 
-class TestStructuralPredicate:
-    def test_no_edges_at_last_vertex(self):
-        t, r = 7, 3
-        edges = [e for e in complete_graph(t, r).edges if t not in e]
-        g = hypergraph(r, edges, n=t)
-        assert structural_predicate_4_5(g, t)
-
-    def test_complete_graph_fails(self):
-        assert not structural_predicate_4_5(complete_graph(7, 3), 7)
-
-    def test_wrong_vertex_count(self):
-        with pytest.raises(ValueError):
-            structural_predicate_4_5(complete_graph(5, 3), 6)
-
-
 class TestVerifiers:
     def test_colex_range_3_5(self):
-        rep = verify_colex_range(3, 5, FAST)
+        rep = run_claim("lemma-2.2", t=5, r=3, config=FAST)
         assert rep.verdict == "pass"
         assert rep.instances_checked == 4
         assert rep.parameters["m_min"] == 4 and rep.parameters["m_max"] == 7
         assert all(row.reference == complete_lagrangian(4, 3) for row in rep.rows)
 
     def test_colex_range_2_4(self):
-        rep = verify_colex_range(2, 4, FAST)
+        rep = run_claim("lemma-2.2", t=4, r=2, config=FAST)
         assert rep.verdict == "pass"
         assert rep.rows[0].reference == pytest.approx(1 / 3, abs=1e-16)
 
     def test_sharpness_3_6_exact(self):
-        rep = verify_sharpness(3, 6, FAST)
+        rep = run_claim("sharpness", t=6, r=3, config=FAST)
         assert rep.verdict == "pass"
         assert rep.rows[0].value == pytest.approx(0.082, abs=1e-15)
         assert rep.rows[0].margin == pytest.approx(0.002, abs=1e-15)
 
     def test_sharpness_3_7(self):
-        rep = verify_sharpness(3, 7, FAST)
+        rep = run_claim("sharpness", t=7, r=3, config=FAST)
         assert rep.verdict == "pass"
         assert rep.rows[0].margin > 1e-4
 
     def test_conjecture_with_clique_3_5_4(self):
         # m = C(4,3) forces the clique itself as the only instance
-        rep = verify_conjecture_with_clique(3, 5, 4, FAST)
+        rep = run_claim("conjecture-2.1", t=5, r=3, m=4, config=FAST)
         assert rep.verdict == "pass"
         assert rep.instances_checked == 1
 
     def test_conjecture_with_clique_3_5_5(self):
-        rep = verify_conjecture_with_clique(3, 5, 5, FAST)
+        rep = run_claim("conjecture-2.1", t=5, r=3, m=5, config=FAST)
         assert rep.verdict == "pass"
         assert all(abs(row.margin) <= 1e-6 for row in rep.rows)
 
     def test_conjecture_without_clique_3_5_4(self):
-        rep = verify_conjecture_without_clique(3, 5, 4, FAST)
+        rep = run_claim("conjecture-2.2", t=5, r=3, m=4, config=FAST)
         assert rep.verdict == "pass"
         assert rep.instances_checked == 2
         assert all(row.value < row.reference - 1e-6 for row in rep.rows)
 
     def test_conjecture_m_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_conjecture_with_clique(3, 5, 3, FAST)
+            run_claim("conjecture-2.1", t=5, r=3, m=3, config=FAST)
 
     def test_theorem_3_1_single_m(self):
-        rep = verify_theorem_3_1(6, config=FAST, m_values=[10])
+        rep = run_claim("theorem-3.1", t=6, m=10, config=FAST)
         assert rep.verdict == "pass"
         assert rep.instances_checked == 1
         assert rep.rows[0].value < 0.08 - 1e-6
 
     def test_theorem_3_1_requires_t6(self):
         with pytest.raises(ValueError):
-            verify_theorem_3_1(5, config=FAST)
+            run_claim("theorem-3.1", t=5, config=FAST)
 
     def test_theorem_4_1_small(self):
-        rep = verify_theorem_4_x("4.1", 5, config=FAST)
+        rep = run_claim("theorem-4.1", t=5, config=FAST)
         assert rep.verdict == "pass"
         assert rep.parameters["m_values"] == [4, 5]
 
     def test_theorem_4_2_vacuous_at_desk_scale(self):
-        rep = verify_theorem_4_x("4.2", 8, config=FAST)
-        assert rep.verdict == "pass"
+        # the range is empty (hi < lo) at r = 4, t = 8: nothing was checked
+        rep = run_claim("theorem-4.2", t=8, config=FAST)
+        assert rep.verdict == "inconclusive"
         assert rep.instances_checked == 0
+        assert rep.scope.startswith("vacuous: no instances in range")
 
     def test_theorem_4_3_endpoints(self):
-        rep = verify_theorem_4_x("4.3", 7, config=FAST)
+        rep = run_claim("theorem-4.3", t=7, config=FAST)
         assert rep.verdict == "pass"
         assert rep.instances_checked >= 1
         assert all(
@@ -198,24 +177,25 @@ class TestVerifiers:
 
     def test_theorem_4_unknown_variant(self):
         with pytest.raises(ValueError):
-            verify_theorem_4_x("4.9", 6)
+            run_claim("theorem-4.9", t=6)
 
     def test_theorem_5_1_t5(self):
-        rep = verify_theorem_5_1(5, config=FAST)
+        rep = run_claim("theorem-5.1", t=5, config=FAST)
         assert rep.verdict == "pass"
         assert rep.parameters["m_values"] == [4, 5, 6]
 
     def test_corollaries_t5(self):
         for variant in ("3.1", "3.2"):
-            rep = verify_corollary_3_x(variant, 5, config=FAST, m_values=[6])
+            rep = run_claim(f"corollary-{variant}", t=5, m=6, config=FAST)
             assert rep.verdict == "pass"
 
     def test_fail_verdict_carries_witness(self):
         # force failures by comparing against an impossible reference
-        rep = _run_sweep(
+        rep = _sweep(
             "synthetic",
             {"t": 0},
-            [(complete_graph(4, 3), 0.0)],
+            [[complete_graph(4, 3)]],
+            0.0,
             "le",
             FAST,
             scope="synthetic",
@@ -227,7 +207,7 @@ class TestVerifiers:
     def test_inconclusive_band(self):
         g = complete_graph(4, 3)
         ref = complete_lagrangian(4, 3)
-        rep = _run_sweep("synthetic", {}, [(g, ref)], "lt", FAST, scope="")
+        rep = _sweep("synthetic", {}, [[g]], ref, "lt", FAST, scope="")
         assert rep.verdict == "inconclusive"
 
 
@@ -235,7 +215,7 @@ class TestWitnessIdentity:
     def test_theorem_3_1_t6_m10_unique_instance(self):
         # the only qualifying 10-edge graph swaps the top block triple for
         # the first triple through vertex 6
-        rep = verify_theorem_3_1(6, config=FAST, m_values=[10])
+        rep = run_claim("theorem-3.1", t=6, m=10, config=FAST)
         assert rep.instances_checked == 1
         expected = hypergraph(
             3, [e for e in complete_graph(5, 3).edges if e != (3, 4, 5)] + [(1, 2, 6)]
@@ -243,19 +223,6 @@ class TestWitnessIdentity:
         from hyperlag import parse_hypergraph
 
         assert parse_hypergraph(rep.witnesses[-1].hypergraph) == expected
-
-
-class TestExtremalBlockDeficit:
-    def test_small_m_within_bound(self):
-        # soft structural check: report violations, never assert them away
-        violations = []
-        for m in (4, 6, 9):
-            out = extremal_block_deficit(m, FAST)
-            if not out["within_bound"]:
-                violations.append((m, out["missing"], out["bound"]))
-        if violations:
-            print(f"extremal block deficit violations: {violations}")
-        assert all(isinstance(v, tuple) for v in violations)
 
 
 class TestDispatch:
@@ -277,11 +244,20 @@ class TestDispatch:
         with pytest.raises(ValueError, match="requires --t"):
             run_claim("lemma-2.2")
 
+    def test_readme_catalog_matches_claims(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        catalog = {}
+        for line in readme.read_text().splitlines():
+            if line.startswith("| `"):
+                claim, description = (c.strip() for c in line.strip("|").split("|"))
+                catalog[claim.strip("`")] = description
+        assert catalog == {k: spec.description for k, spec in CLAIMS.items()}
+
 
 class TestReports:
     def test_json_shape_and_determinism(self):
-        rep1 = verify_colex_range(3, 5, FAST)
-        rep2 = verify_colex_range(3, 5, FAST)
+        rep1 = run_claim("lemma-2.2", t=5, r=3, config=FAST)
+        rep2 = run_claim("lemma-2.2", t=5, r=3, config=FAST)
         assert report_to_json(rep1) == report_to_json(rep2)
         doc = json.loads(report_to_json(rep1))
         assert doc["claim_id"] == "lemma-2.2"
@@ -292,7 +268,7 @@ class TestReports:
             assert w["hypergraph"].endswith("\n")
 
     def test_csv_rows(self):
-        rep = verify_colex_range(3, 5, FAST)
+        rep = run_claim("lemma-2.2", t=5, r=3, config=FAST)
         lines = report_to_csv(rep).strip().splitlines()
         assert lines[0] == "m,edge_hash,value,reference,margin,verdict"
         assert len(lines) == 1 + rep.instances_checked
@@ -302,18 +278,21 @@ class TestReports:
         assert verdict == "pass"
 
     def test_text_mentions_verdict(self):
-        rep = verify_sharpness(3, 6, FAST)
+        rep = run_claim("sharpness", t=6, r=3, config=FAST)
         text = report_to_text(rep)
         assert "verdict    pass" in text
 
     def test_merge(self):
-        a = verify_conjecture_without_clique(3, 5, 4, FAST)
-        b = verify_conjecture_without_clique(3, 5, 5, FAST)
-        merged = merge_reports("conjecture-2.2", {"t": 5}, [a, b])
-        assert merged.instances_checked == a.instances_checked + b.instances_checked
+        # a sweep folds rows and witnesses edge count by edge count
+        a = run_claim("conjecture-2.2", t=5, m=4, config=FAST)
+        b = run_claim("conjecture-2.2", t=5, m=5, config=FAST)
+        merged = run_claim("conjecture-2.2", t=5, config=FAST)
+        assert merged.parameters["m_values"] == [4, 5, 6, 7]
+        assert merged.rows[: len(a.rows) + len(b.rows)] == a.rows + b.rows
+        assert merged.witnesses[:2] == a.witnesses + b.witnesses
         assert merged.verdict == "pass"
 
     def test_reference_recomputes_bit_exactly(self):
-        rep = verify_conjecture_with_clique(3, 6, 11, FAST)
+        rep = run_claim("conjecture-2.1", t=6, r=3, m=11, config=FAST)
         for row in rep.rows:
             assert row.reference == complete_lagrangian(5, 3)

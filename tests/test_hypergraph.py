@@ -8,7 +8,6 @@ from hyperlag import (
     ResourceLimitError,
     colex_graph,
     complete_graph,
-    contains_near_clique,
     descendants,
     format_hypergraph,
     hypergraph,
@@ -206,21 +205,6 @@ class TestCliques:
     def test_maximal_cliques_triangle_plus_pendant(self):
         g = hypergraph(2, [(1, 2), (1, 3), (2, 3), (3, 4)])
         assert maximal_cliques(g) == [(1, 2, 3), (3, 4)]
-
-
-class TestNearClique:
-    def test_one_edge_removed(self):
-        full = complete_graph(5, 3)
-        minus_one = hypergraph(3, [e for e in full.edges if e != (3, 4, 5)], n=5)
-        assert contains_near_clique(minus_one, 6)
-
-    def test_two_edges_removed(self):
-        full = complete_graph(5, 3)
-        g = hypergraph(3, full.edges[:-2], n=5)
-        assert not contains_near_clique(g, 6)
-
-    def test_full_clique_qualifies(self):
-        assert contains_near_clique(colex_graph(3, 10), 6)
 
 
 class TestTextFormat:

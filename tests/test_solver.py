@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperlag import (
-    DegenerateWeightingError,
     SolverConfig,
     ZeroValueError,
     colex_graph,
@@ -18,7 +17,6 @@ from hyperlag import (
     kkt_residual,
     link,
     link_value,
-    minimize_support,
     motzkin_straus_value,
     solve,
     sorted_polish,
@@ -134,22 +132,6 @@ class TestKKT:
         # unsupported vertex sees 1.0 against a target of 0.5.
         res = kkt_residual(TRIANGLE, [0.5, 0.5, 0.0])
         assert res == pytest.approx(0.5, abs=1e-15)
-
-
-class TestMinimizeSupport:
-    def test_strips_dust(self):
-        out = minimize_support(TRIANGLE, [0.5, 0.5 - 1e-15, 1e-15])
-        assert out[2] == 0.0
-        assert evaluate(TRIANGLE, out) == pytest.approx(0.25, abs=1e-12)
-
-    def test_no_change_above_threshold(self):
-        x = [0.25, 0.25, 0.25, 0.25]
-        out = minimize_support(complete_graph(4, 2), x)
-        assert np.allclose(out, x, atol=1e-15)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateWeightingError):
-            minimize_support(TRIANGLE, [1 / 3] * 3, threshold=0.5)
 
 
 class TestSolve:
