@@ -3,7 +3,12 @@
 Subcommands: gen, solve, eval, compress, clique, link, verify. Exit status is
 0 on success or a pass verdict, 1 on a fail verdict, 2 on usage or parse
 errors, 3 on an inconclusive verdict. Text output prints 15 significant
-digits; JSON is binary-faithful. HYPERLAG_SEED overrides the default seed.
+digits; JSON is binary-faithful.
+
+solve and verify take three solver settings: --restarts, --max-iterations
+and --seed; HYPERLAG_SEED overrides the default seed. The solver's
+thresholds are fixed constants. verify's --budget sets the named limits of
+each edge count's enumeration and leaves the others at the claim's default.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from fractions import Fraction
 from .errors import ParseError, ResourceLimitError
 from .harness import (
     HARNESS_SOLVER,
-    Budget,
     report_to_csv,
     report_to_json,
     report_to_text,
@@ -54,94 +58,39 @@ def _default_seed() -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None, help="JSON file with solver settings")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--step-gain-floor", type=float, default=None)
-    p.add_argument("--kkt-tolerance", type=float, default=None)
-    p.add_argument("--support-threshold", type=float, default=None)
-    p.add_argument("--equality-tolerance", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--clique-starts", choices=["on", "off", "auto"], default="auto"
-    )
+    group = p.add_argument_group("solver settings")
+    group.add_argument("--restarts", type=int, default=None)
+    group.add_argument("--max-iterations", type=int, default=None)
+    group.add_argument("--seed", type=int, default=None)
 
 
-_CONFIG_FIELDS = (
-    "restarts",
-    "max_iterations",
-    "step_gain_floor",
-    "kkt_tolerance",
-    "support_threshold",
-    "equality_tolerance",
-    "seed",
-    "clique_starts",
-)
+def _solver_config(args, base: SolverConfig) -> SolverConfig:
+    overrides = {
+        f: getattr(args, f)
+        for f in ("restarts", "max_iterations")
+        if getattr(args, f) is not None
+    }
+    seed = _default_seed() if args.seed is None else args.seed
+    return dataclasses.replace(base, seed=seed, **overrides)
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise SystemExit(f"no such config file: {path}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"{path}: invalid JSON ({exc})")
-    if not isinstance(raw, dict):
-        raise SystemExit(f"{path}: config must be a JSON object")
-    out = {}
-    for key, value in raw.items():
-        field = key.replace("-", "_")
-        if field not in _CONFIG_FIELDS:
-            raise SystemExit(f"{path}: unknown solver setting {key!r}")
-        out[field] = value
-    return out
+_BUDGET_FIELDS = {"graphs": "max_graphs", "vertices": "max_vertices", "edges": "max_edges"}
 
 
-def _solver_config(args, base: SolverConfig | None = None) -> SolverConfig:
-    cfg = base or SolverConfig()
-    overrides = dict(_load_config_file(args.config)) if args.config else {}
-    for field in (
-        "restarts",
-        "max_iterations",
-        "step_gain_floor",
-        "kkt_tolerance",
-        "support_threshold",
-        "equality_tolerance",
-    ):
-        v = getattr(args, field)
-        if v is not None:
-            overrides[field] = v
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif "seed" not in overrides:
-        overrides["seed"] = _default_seed()
-    if args.clique_starts != "auto":
-        overrides["clique_starts"] = args.clique_starts == "on"
-    return dataclasses.replace(cfg, **overrides)
-
-
-def _parse_budget(spec: str | None) -> Budget | None:
+def _parse_budget(spec: str | None) -> dict[str, int] | None:
+    """Budget fields named in --budget; a bare N limits graphs."""
     if spec is None:
         return None
-    kwargs = {}
-    if spec.isdigit():
-        kwargs["max_graphs"] = int(spec)
-    else:
-        names = {"graphs": "max_graphs", "vertices": "max_vertices", "edges": "max_edges"}
-        for part in spec.split(","):
-            key, _, val = part.partition("=")
-            if key not in names or not val.lstrip("-").isdigit():
-                raise SystemExit(
-                    f"bad --budget {spec!r}; use N or graphs=N,vertices=N,edges=N"
-                )
-            kwargs[names[key]] = int(val)
-    base = Budget()
-    return Budget(
-        max_vertices=kwargs.get("max_vertices", base.max_vertices),
-        max_edges=kwargs.get("max_edges", base.max_edges),
-        max_graphs=kwargs.get("max_graphs", base.max_graphs),
-    )
+    out = {}
+    for part in spec.split(",") if "=" in spec else [f"graphs={spec}"]:
+        key, _, val = part.partition("=")
+        if key not in _BUDGET_FIELDS or not val.isdigit() or int(val) < 1:
+            raise SystemExit(
+                f"bad --budget {spec!r}; use N or graphs=N,vertices=N,edges=N "
+                "with every N >= 1"
+            )
+        out[_BUDGET_FIELDS[key]] = int(val)
+    return out
 
 
 def _load(path: str):
@@ -260,7 +209,7 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         g = _load(args.file)
-        rep = solve(g, _solver_config(args))
+        rep = solve(g, _solver_config(args, SolverConfig()))
         if args.format == "json":
             _emit(json.dumps(_solve_report_dict(rep), sort_keys=True, indent=2) + "\n", args.output)
         else:
@@ -329,7 +278,7 @@ def _dispatch(args) -> int:
             t=args.t,
             r=args.r,
             m=args.m,
-            config=_solver_config(args, base=HARNESS_SOLVER),
+            config=_solver_config(args, HARNESS_SOLVER),
             budget=_parse_budget(args.budget),
         )
         render = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}

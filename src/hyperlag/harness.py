@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -46,6 +46,9 @@ from .solver import (
 #: certified lower bounds, so fewer restarts and a tighter iteration cap keep
 #: full sweeps fast without weakening any pass/fail decision.
 HARNESS_SOLVER = SolverConfig(restarts=16, max_iterations=5000)
+
+#: Values within this of the reference are neither above nor below it.
+EQUALITY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -205,27 +208,27 @@ def _edge_hash(g: RUniformHypergraph) -> str:
     return hashlib.sha256(format_hypergraph(g).encode()).hexdigest()[:12]
 
 
-def _verdict_eq(value: float, ref: float, tol: float, converged: bool) -> str:
-    if value > ref + tol:
+def _verdict_eq(value: float, ref: float, converged: bool) -> str:
+    if value > ref + EQUALITY_TOLERANCE:
         return "fail"
-    if abs(value - ref) <= tol and converged:
+    if abs(value - ref) <= EQUALITY_TOLERANCE and converged:
         return "pass"
     return "inconclusive"
 
 
-def _verdict_lt(value: float, ref: float, tol: float, converged: bool) -> str:
-    if value < ref - tol:
+def _verdict_lt(value: float, ref: float, converged: bool) -> str:
+    if value < ref - EQUALITY_TOLERANCE:
         return "pass"
-    if value > ref + tol:
+    if value > ref + EQUALITY_TOLERANCE:
         return "fail"
     return "inconclusive"
 
 
-def _verdict_le(value: float, ref: float, tol: float, converged: bool) -> str:
-    return "pass" if value <= ref + tol else "fail"
+def _verdict_le(value: float, ref: float, converged: bool) -> str:
+    return "pass" if value <= ref + EQUALITY_TOLERANCE else "fail"
 
 
-_RELATIONS: dict[str, Callable[[float, float, float, bool], str]] = {
+_RELATIONS: dict[str, Callable[[float, float, bool], str]] = {
     "eq": _verdict_eq,
     "lt": _verdict_lt,
     "le": _verdict_le,
@@ -253,7 +256,6 @@ def _sweep(
     margin. A sweep with no instances at all is inconclusive, never a pass.
     """
     judge = _RELATIONS[relation]
-    tol = config.equality_tolerance
     t0 = time.perf_counter()
     rows: list[InstanceRow] = []
     witnesses: list[Witness] = []
@@ -263,7 +265,7 @@ def _sweep(
         for g in graphs:
             rep = solve(g, config)
             margin = rep.value - reference
-            verdict = judge(rep.value, reference, tol, rep.converged)
+            verdict = judge(rep.value, reference, rep.converged)
             rows.append(
                 InstanceRow(g.m, _edge_hash(g), rep.value, reference, margin, verdict)
             )
@@ -300,7 +302,7 @@ def _sweep(
     )
 
 
-def _split_weighting(r: int, t: int, m: int, config: SolverConfig) -> VerificationReport:
+def _split_weighting(r: int, t: int, m: int) -> VerificationReport:
     """One edge past the stable range, the split weighting (last two vertices
     at half weight) strictly beats the complete-graph value. Exact rationals."""
     t0 = time.perf_counter()
@@ -309,7 +311,7 @@ def _split_weighting(r: int, t: int, m: int, config: SolverConfig) -> Verificati
     value_exact = evaluate_exact(g, weights)
     ref_exact = complete_lagrangian_exact(t - 1, r)
     margin = value_exact - ref_exact
-    tol = Fraction(config.equality_tolerance).limit_denominator(10**15)
+    tol = Fraction(EQUALITY_TOLERANCE).limit_denominator(10**15)
     if margin > tol:
         verdict = "pass"
     elif margin <= 0:
@@ -506,14 +508,14 @@ CLAIMS: dict[str, ClaimSpec] = {
 
 
 def _left_compressed_instances(
-    spec: ClaimSpec, t: int, r: int, m: int, budget: Budget | None
+    spec: ClaimSpec, t: int, r: int, m: int, budget: dict[str, int] | None
 ) -> Iterator[RUniformHypergraph]:
     n = spec.n_for(t, r, m)
     graphs = enumerate_left_compressed(
         r,
         m,
         n,
-        budget or Budget(max_vertices=n, max_edges=max(40, m)),
+        replace(Budget(max_vertices=n, max_edges=max(40, m)), **(budget or {})),
         seed_prefix=spec.seed_prefix(t, r),
         forbidden_ranks=spec.forbidden(t, r),
     )
@@ -528,11 +530,14 @@ def run_claim(
     r: int | None = None,
     m: int | None = None,
     config: SolverConfig | None = None,
-    budget: Budget | None = None,
+    budget: dict[str, int] | None = None,
 ) -> VerificationReport:
     """Check the claim `claim_id` of `CLAIMS` at clique order t.
 
-    Sweeps the claim's default edge counts when m is None. Raises ValueError
+    Sweeps the claim's default edge counts when m is None. Each edge count m
+    enumerates with `Budget(max_vertices=n, max_edges=max(40, m))`, n the
+    claim's vertex count; `budget` maps `Budget` field names to values that
+    replace those fields, e.g. `{"max_graphs": 1000}`. Raises ValueError
     for an unknown claim, a missing t, and a t, r or m the claim's row rules
     out.
     """
@@ -560,7 +565,7 @@ def run_claim(
             raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
     cfg = config or HARNESS_SOLVER
     if spec.instances == "split-weighting":
-        return _split_weighting(r, t, lo, cfg)
+        return _split_weighting(r, t, lo)
     reference = complete_lagrangian(t - 1, r)
     if spec.instances == "colex-prefixes":
         parameters = {"r": r, "t": t, "m_min": lo, "m_max": hi}

@@ -16,6 +16,8 @@ from .colex import RSet, colex_rank, rset
 from .errors import ParseError, ResourceLimitError
 
 CLIQUE_SEARCH_MAX_VERTICES = 20
+#: Search nodes `maximal_cliques` may visit before it falls back.
+CLIQUE_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -234,17 +236,16 @@ def _extends_clique(g: RUniformHypergraph, clique: tuple[int, ...], v: int) -> b
     )
 
 
-def max_clique_order(
-    g: RUniformHypergraph, max_vertices: int = CLIQUE_SEARCH_MAX_VERTICES
-) -> int:
+def max_clique_order(g: RUniformHypergraph) -> int:
     """Order of the largest vertex set inducing a complete sub-hypergraph.
 
     Returns r - 1 for edgeless graphs. Exhaustive search with a size-bound
-    prune; refuses graphs beyond max_vertices.
+    prune; refuses graphs beyond CLIQUE_SEARCH_MAX_VERTICES.
     """
-    if g.n > max_vertices:
+    if g.n > CLIQUE_SEARCH_MAX_VERTICES:
         raise ResourceLimitError(
-            f"clique search budget is {max_vertices} vertices, graph has {g.n}"
+            f"clique search budget is {CLIQUE_SEARCH_MAX_VERTICES} vertices, "
+            f"graph has {g.n}"
         )
     if g.m == 0:
         return g.r - 1
@@ -273,12 +274,12 @@ def _max_clique_witness(g: RUniformHypergraph) -> tuple[int, ...]:
 
 
 def maximal_cliques(
-    g: RUniformHypergraph, cap: int | None = None, node_budget: int = 200_000
+    g: RUniformHypergraph, cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """Inclusion-maximal cliques of order >= r, largest first.
 
     Falls back to the single maximum-clique witness when the clique DFS would
-    exceed node_budget (very dense graphs). Order is deterministic.
+    exceed CLIQUE_NODE_BUDGET (very dense graphs). Order is deterministic.
     """
     if g.m == 0:
         return []
@@ -289,7 +290,7 @@ def maximal_cliques(
     def extend(clique: list[int], cands: list[int]):
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > CLIQUE_NODE_BUDGET:
             raise ResourceLimitError("clique enumeration node budget exceeded")
         extended = False
         for i, v in enumerate(cands):

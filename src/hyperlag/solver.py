@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ZeroValueError
 from .hypergraph import (
+    CLIQUE_SEARCH_MAX_VERTICES,
     LinkView,
     RUniformHypergraph,
     is_left_compressed,
@@ -39,23 +40,31 @@ from .hypergraph import (
 )
 
 SIMPLEX_TOLERANCE = 1e-12
+#: A trial stops once one growth step gains less than this.
+STEP_GAIN_FLOOR = 1e-14
+#: A solve is converged when its KKT residual is at most this.
+KKT_TOLERANCE = 1e-8
+#: Weights at or below this are off the support.
+SUPPORT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Multistart size, per-trial step cap and seed of the Dirichlet starts.
+
+    Clique starts run, and 2-graphs are checked against Motzkin-Straus, on
+    graphs with at most `CLIQUE_SEARCH_MAX_VERTICES` vertices.
+    """
+
     restarts: int = 64
     max_iterations: int = 50_000
-    step_gain_floor: float = 1e-14
-    kkt_tolerance: float = 1e-8
-    support_threshold: float = 1e-9
-    equality_tolerance: float = 1e-6
     seed: int = 0
-    clique_starts: bool | None = None  # None: enabled when n <= 20
 
-    def clique_starts_enabled(self, n: int) -> bool:
-        if self.clique_starts is None:
-            return n <= 20
-        return self.clique_starts
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,6 @@ def _ascend(
     r: int,
     X0: np.ndarray,
     max_iterations: int,
-    gain_floor: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run growth updates on each row until its gain drops below the floor."""
     X = X0.copy()
@@ -189,7 +197,7 @@ def _ascend(
         X[rows] = newX
         vals[rows] = newv
         iters[rows] += 1
-        active[rows] = (newv - va) >= gain_floor
+        active[rows] = (newv - va) >= STEP_GAIN_FLOOR
     return X, vals, iters
 
 
@@ -205,9 +213,7 @@ def growth_step(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
     return out / out.sum()
 
 
-def kkt_residual(
-    g: RUniformHypergraph, x: Sequence[float], support_threshold: float = 1e-9
-) -> float:
+def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:
     """Deviation from first-order optimality.
 
     Largest gap between a supported vertex's link value and r times the
@@ -216,15 +222,13 @@ def kkt_residual(
     arr = _as_weights(g, x)
     _check_feasible(arr)
     grad, val = _batch_grad(_edge_index(g), g.n, arr[None, :])
-    return float(_kkt_rows(arr[None, :], grad, val, g.r, support_threshold)[0])
+    return float(_kkt_rows(arr[None, :], grad, val, g.r)[0])
 
 
-def _kkt_rows(
-    X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int, threshold: float
-) -> np.ndarray:
+def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.ndarray:
     target = (r * vals)[:, None]
     dev = grad - target
-    on_support = X > threshold
+    on_support = X > SUPPORT_THRESHOLD
     sup = np.where(on_support, np.abs(dev), 0.0).max(axis=1)
     off = np.where(~on_support, dev, 0.0).max(axis=1, initial=0.0)
     return sup + np.maximum(off, 0.0)
@@ -247,9 +251,7 @@ def sorted_polish(
         arr = np.sort(arr)[::-1].copy()
         if _batch_value(eidx, arr[None, :])[0] <= 0.0:
             return arr
-        arr = _ascend(
-            eidx, g.n, g.r, arr[None, :], cfg.max_iterations, cfg.step_gain_floor
-        )[0][0]
+        arr = _ascend(eidx, g.n, g.r, arr[None, :], cfg.max_iterations)[0][0]
         if np.all(arr[:-1] >= arr[1:] - 1e-12):
             break
     return arr
@@ -263,7 +265,7 @@ def _pairs_covered(g: RUniformHypergraph, support: Sequence[int]) -> bool:
 def _starts(g: RUniformHypergraph, config: SolverConfig) -> np.ndarray:
     n = g.n
     rows = [np.full(n, 1.0 / n)]
-    if config.clique_starts_enabled(n) and config.restarts >= 2:
+    if n <= CLIQUE_SEARCH_MAX_VERTICES and config.restarts >= 2:
         for clique in maximal_cliques(g, cap=config.restarts - 1):
             w = np.zeros(n)
             w[np.asarray(clique) - 1] = 1.0 / len(clique)
@@ -286,14 +288,12 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     """Best value over a deterministic multistart schedule.
 
     Trial list: the uniform weighting, then a uniform weighting on each
-    maximal clique (when clique starts are enabled), then seeded flat-Dirichlet
+    maximal clique (when n <= CLIQUE_SEARCH_MAX_VERTICES), then seeded flat-Dirichlet
     draws, `restarts` trials in total. Each trial runs growth updates to the
     gain floor, gets its support minimized, and is re-polished; the best value
     wins with ties broken toward the earlier trial.
     """
     cfg = config or SolverConfig()
-    if cfg.restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {cfg.restarts}")
     n = g.n
     if g.m == 0:
         uniform = tuple([1.0 / n] * n)
@@ -310,16 +310,15 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
         )
 
     eidx = _edge_index(g)
-    thr = cfg.support_threshold
     X0 = _starts(g, cfg)
-    X1, _, it1 = _ascend(eidx, n, g.r, X0, cfg.max_iterations, cfg.step_gain_floor)
+    X1, _, it1 = _ascend(eidx, n, g.r, X0, cfg.max_iterations)
 
-    Xm = np.where(X1 > thr, X1, 0.0)
+    Xm = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
     Xm /= Xm.sum(axis=1, keepdims=True)
-    X2, v2, it2 = _ascend(eidx, n, g.r, Xm, cfg.max_iterations, cfg.step_gain_floor)
+    X2, v2, it2 = _ascend(eidx, n, g.r, Xm, cfg.max_iterations)
 
     grad, vg = _batch_grad(eidx, n, X2)
-    kkt = _kkt_rows(X2, grad, vg, g.r, thr)
+    kkt = _kkt_rows(X2, grad, vg, g.r)
 
     best = int(np.argmax(v2))
     best_x = X2[best]
@@ -336,15 +335,15 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
             best_x = y
             best_val = float(yv)
             gy, vy = _batch_grad(eidx, n, y[None, :])
-            best_kkt = float(_kkt_rows(y[None, :], gy, vy, g.r, thr)[0])
+            best_kkt = float(_kkt_rows(y[None, :], gy, vy, g.r)[0])
 
-    converged = best_kkt <= cfg.kkt_tolerance
-    if g.r == 2 and cfg.clique_starts_enabled(n) and n <= 20:
+    converged = best_kkt <= KKT_TOLERANCE
+    if g.r == 2 and n <= CLIQUE_SEARCH_MAX_VERTICES:
         expected = motzkin_straus_value(g)
         if abs(best_val - expected) > 1e-7:
             converged = False
 
-    support = tuple(int(i) + 1 for i in np.flatnonzero(best_x > thr))
+    support = tuple(int(i) + 1 for i in np.flatnonzero(best_x > SUPPORT_THRESHOLD))
     return SolveReport(
         value=best_val,
         weighting=tuple(float(v) for v in best_x),
@@ -371,9 +370,9 @@ def complete_lagrangian_exact(t: int, r: int) -> Fraction:
     return Fraction(comb(t, r), t**r)
 
 
-def motzkin_straus_value(g: RUniformHypergraph, max_vertices: int = 20) -> float:
+def motzkin_straus_value(g: RUniformHypergraph) -> float:
     """Closed-form value for 2-graphs: (1/2)(1 - 1/t), t the max clique order."""
     if g.r != 2:
         raise ValueError(f"closed form applies to 2-graphs only, got r = {g.r}")
-    t = max_clique_order(g, max_vertices)
+    t = max_clique_order(g)
     return 0.5 * (1.0 - 1.0 / t)

@@ -1,8 +1,14 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from hyperlag import SolverConfig
 from hyperlag.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -189,6 +195,52 @@ def test_verify_budget_flag(capsys):
     assert "graph budget" in err
 
 
+def test_verify_budget_replaces_only_the_named_fields(capsys):
+    argv = ["verify", "theorem-3.1", "--t", "6", "--m", "10"]
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    # naming graphs keeps the claim's own vertex and edge limits
+    code, budgeted, err = run(capsys, *argv, "--budget", "100000")
+    assert (code, budgeted, err) == (0, default, "")
+    code, _, err = run(capsys, *argv, "--budget", "vertices=8")
+    assert code == 2
+    assert "vertex budget exceeded" in err
+
+
+@pytest.mark.parametrize("spec", ["0", "graphs=0", "vertices=-1", "edges=0", "graphs=x"])
+def test_verify_rejects_bad_budget(capsys, spec):
+    code, out, err = run(
+        capsys, "verify", "theorem-3.1", "--t", "6", "--m", "10", "--budget", spec
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad --budget" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-iterations", "--restarts"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_non_positive_solver_settings(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "conjecture-2.2", "--t", "5", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:].replace('-', '_')} must be >= 1" in err
+
+
+def test_solver_flags_match_config_and_readme(capsys):
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    for subcommand in ("solve", "verify"):
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        help_text = capsys.readouterr().out
+        section = help_text.split("solver settings:\n")[1].split("\n\n")[0]
+        flags = re.findall(r"^  (--[a-z-]+)", section, flags=re.M)
+        assert {f[2:].replace("-", "_") for f in flags} == fields
+    paragraph = README.read_text().split("Solver settings")[1].split("\n\n")[0]
+    assert set(re.findall(r"--[a-z-]+", paragraph)) == {
+        "--" + name.replace("_", "-") for name in fields
+    }
+
+
 def test_env_seed_matches_flag(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.hg"
     run(capsys, "gen", "colex", "--r", "2", "--m", "5", "-o", str(path))
@@ -218,30 +270,3 @@ def test_weights_accept_decimals(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", str(path), "--weights", "0.5,0.25,0.25")
     assert code == 0
     assert float(out) == pytest.approx(0.3125, abs=1e-15)
-
-
-def test_solver_config_file(tmp_path, capsys):
-    graph = tmp_path / "g.hg"
-    run(capsys, "gen", "complete", "--r", "2", "--t", "4", "-o", str(graph))
-    cfg = tmp_path / "solver.json"
-    cfg.write_text('{"restarts": 5, "seed": 9}')
-    code, out, _ = run(capsys, "solve", str(graph), "--format", "json", "--config", str(cfg))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["restarts_used"] == 5
-    # explicit flags beat the file
-    code, out, _ = run(
-        capsys, "solve", str(graph), "--format", "json",
-        "--config", str(cfg), "--restarts", "3",
-    )
-    assert json.loads(out)["restarts_used"] == 3
-
-
-def test_solver_config_file_rejects_unknown_keys(tmp_path, capsys):
-    graph = tmp_path / "g.hg"
-    run(capsys, "gen", "complete", "--r", "2", "--t", "3", "-o", str(graph))
-    cfg = tmp_path / "solver.json"
-    cfg.write_text('{"bogus": 1}')
-    code, _, err = run(capsys, "solve", str(graph), "--config", str(cfg))
-    assert code == 2
-    assert "unknown solver setting" in err

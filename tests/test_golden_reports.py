@@ -1,21 +1,28 @@
-"""Byte-for-byte regression of claim reports against recorded output.
+"""Byte-for-byte regression of claim and solve reports against recorded output.
 
-Every case runs `run_claim` at the harness solver settings (seed 0) and
+Every claim case runs `run_claim` at the harness solver settings (seed 0) and
 compares `report_to_json` and `report_to_csv` with the text recorded in
-`data/golden_reports.json`. Rewrite the recording only when a change to a
-claim's output is intended:
+`data/golden_reports.json`. Every solve case runs `hyperlag solve --format
+json` at the default solver settings and compares its output with
+`data/golden_solve.json`. Rewrite the recordings only when a change to the
+output is intended:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from hyperlag import report_to_csv, report_to_json, run_claim
+from hyperlag import format_hypergraph, hypergraph, report_to_csv, report_to_json, run_claim
+from hyperlag.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+GOLDEN_SOLVE = Path(__file__).parent / "data" / "golden_solve.json"
 
 CASES = [
     ("lemma-2.2", {"r": 3, "t": 5}),
@@ -36,6 +43,24 @@ CASES = [
 ]
 
 
+# Each graph takes a different branch of `solve`: polish on a left-compressed
+# input or not, the r=2 Motzkin-Straus check, and n > 20 (no clique starts
+# and no check).
+SOLVE_CASES = {
+    "left-compressed r=3": hypergraph(
+        3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5), (1, 4, 5)]
+    ),
+    "left-compressed r=4": hypergraph(
+        4, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5), (1, 2, 3, 6)]
+    ),
+    "not compressed r=3": hypergraph(3, [(1, 2, 3), (3, 4, 5), (1, 4, 5), (2, 4, 6), (2, 5, 6)]),
+    "pentagon with chord and pendant r=2": hypergraph(
+        2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3), (5, 6)]
+    ),
+    "path on 21 vertices r=2": hypergraph(2, [(i, i + 1) for i in range(1, 21)]),
+}
+
+
 def case_key(claim, params):
     return " ".join([claim] + [f"{k}={v}" for k, v in sorted(params.items())])
 
@@ -53,7 +78,28 @@ def test_report_bytes_match_recording(claim, params):
     assert render(claim, params) == expected
 
 
+def render_solve(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.hg"
+        path.write_text(format_hypergraph(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", str(path), "--format", "json"])
+    assert code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(SOLVE_CASES))
+def test_solve_bytes_match_recording(name, monkeypatch):
+    monkeypatch.delenv("HYPERLAG_SEED", raising=False)
+    expected = json.loads(GOLDEN_SOLVE.read_text())[name]
+    assert render_solve(SOLVE_CASES[name]) == expected
+
+
 if __name__ == "__main__":
     recorded = {case_key(c, p): render(c, p) for c, p in CASES}
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} cases in {GOLDEN}")
+    solves = {name: render_solve(g) for name, g in SOLVE_CASES.items()}
+    GOLDEN_SOLVE.write_text(json.dumps(solves, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(solves)} cases in {GOLDEN_SOLVE}")
