@@ -6,9 +6,10 @@ errors, 3 on an inconclusive verdict. Text output prints 15 significant
 digits; JSON is binary-faithful.
 
 solve and verify take three solver settings: --restarts, --max-iterations
-and --seed; HYPERLAG_SEED overrides the default seed. The solver's
-thresholds are fixed constants. verify's --budget sets the named limits of
-each edge count's enumeration and leaves the others at the claim's default.
+and --seed; the solver's thresholds are fixed constants. verify's --budget N
+caps the number of graphs enumerated per edge count. A setting the claim does
+not use is refused: --budget for lemma-2.2 and sharpness, and the solver
+settings for sharpness.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimitError
 from .harness import (
+    CLAIMS,
     HARNESS_SOLVER,
     report_to_csv,
     report_to_json,
@@ -47,16 +48,6 @@ EXIT_INCONCLUSIVE = 3
 _VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("HYPERLAG_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"HYPERLAG_SEED must be an integer, got {raw!r}")
-
-
 def _add_solver_flags(p: argparse.ArgumentParser):
     group = p.add_argument_group("solver settings")
     group.add_argument("--restarts", type=int, default=None)
@@ -64,33 +55,14 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     group.add_argument("--seed", type=int, default=None)
 
 
-def _solver_config(args, base: SolverConfig) -> SolverConfig:
+def _solver_config(args, base: SolverConfig) -> SolverConfig | None:
+    """`base` with the solver flags given, or None when none is given."""
     overrides = {
         f: getattr(args, f)
-        for f in ("restarts", "max_iterations")
+        for f in ("restarts", "max_iterations", "seed")
         if getattr(args, f) is not None
     }
-    seed = _default_seed() if args.seed is None else args.seed
-    return dataclasses.replace(base, seed=seed, **overrides)
-
-
-_BUDGET_FIELDS = {"graphs": "max_graphs", "vertices": "max_vertices", "edges": "max_edges"}
-
-
-def _parse_budget(spec: str | None) -> dict[str, int] | None:
-    """Budget fields named in --budget; a bare N limits graphs."""
-    if spec is None:
-        return None
-    out = {}
-    for part in spec.split(",") if "=" in spec else [f"graphs={spec}"]:
-        key, _, val = part.partition("=")
-        if key not in _BUDGET_FIELDS or not val.isdigit() or int(val) < 1:
-            raise SystemExit(
-                f"bad --budget {spec!r}; use N or graphs=N,vertices=N,edges=N "
-                "with every N >= 1"
-            )
-        out[_BUDGET_FIELDS[key]] = int(val)
-    return out
+    return dataclasses.replace(base, **overrides) if overrides else None
 
 
 def _load(path: str):
@@ -120,14 +92,6 @@ def _parse_weights(raw: str, n: int) -> list[float]:
     if len(fracs) != n:
         raise SystemExit(f"expected {n} weights, got {len(fracs)}")
     return [float(f) for f in fracs]
-
-
-def _solve_report_dict(rep) -> dict:
-    d = dataclasses.asdict(rep)
-    d["weighting"] = list(d["weighting"])
-    d["raw_weighting"] = list(d["raw_weighting"])
-    d["support"] = list(d["support"])
-    return d
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--m", type=int, default=None)
     vf.add_argument("--format", choices=["text", "json", "csv"], default="json")
     vf.add_argument("-o", "--output", default=None)
-    vf.add_argument("--budget", default=None, help="N or graphs=N,vertices=N,edges=N")
+    vf.add_argument("--budget", default=None, help="at most N graphs per edge count")
     _add_solver_flags(vf)
 
     return ap
@@ -211,7 +175,7 @@ def _dispatch(args) -> int:
         g = _load(args.file)
         rep = solve(g, _solver_config(args, SolverConfig()))
         if args.format == "json":
-            _emit(json.dumps(_solve_report_dict(rep), sort_keys=True, indent=2) + "\n", args.output)
+            _emit(json.dumps(dataclasses.asdict(rep), sort_keys=True, indent=2) + "\n", args.output)
         else:
             lines = [
                 f"value = {rep.value:.15g}",
@@ -251,17 +215,17 @@ def _dispatch(args) -> int:
         except ValueError:
             raise SystemExit(f"bad --pin {args.pin!r}")
         try:
-            view = link(g, pins, complemented=args.complement, difference_against=args.minus)
+            sets = link(g, pins, complemented=args.complement, difference_against=args.minus)
         except IndexError as exc:
             raise SystemExit(str(exc))
-        members = sorted(view.sets)
+        members = sorted(sets)
         if args.format == "json":
             print(
                 json.dumps(
                     {
-                        "pinned": sorted(view.pinned),
-                        "complemented": view.complemented,
-                        "minus": view.minus,
+                        "pinned": sorted(set(pins)),
+                        "complemented": args.complement,
+                        "minus": args.minus,
                         "sets": [list(s) for s in members],
                     },
                     sort_keys=True,
@@ -273,13 +237,21 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify":
+        if args.budget is not None and (not args.budget.isdecimal() or int(args.budget) < 1):
+            raise SystemExit(f"bad --budget {args.budget!r}; give an integer N >= 1")
+        config = _solver_config(args, HARNESS_SOLVER)
+        spec = CLAIMS.get(args.claim)
+        if config is not None and spec is not None and spec.instances == "split-weighting":
+            raise SystemExit(
+                f"claim {args.claim} solves nothing; drop --restarts, --max-iterations and --seed"
+            )
         report = run_claim(
             args.claim,
             t=args.t,
             r=args.r,
             m=args.m,
-            config=_solver_config(args, HARNESS_SOLVER),
-            budget=_parse_budget(args.budget),
+            config=config,
+            max_graphs=None if args.budget is None else int(args.budget),
         )
         render = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
         _emit(render[args.format](report), args.output)

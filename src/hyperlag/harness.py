@@ -172,19 +172,7 @@ def enumerate_left_compressed(
                 for a in da[e]
                 if a not in forbidden and all(present[d] for d in dd[a])
             ]
-            tail = addable[i + 1 :]
-            merged: list[int] = []
-            ti = ui = 0
-            while ti < len(tail) and ui < len(unlocked):
-                if tail[ti] < unlocked[ui]:
-                    merged.append(tail[ti])
-                    ti += 1
-                else:
-                    merged.append(unlocked[ui])
-                    ui += 1
-            merged.extend(tail[ti:])
-            merged.extend(unlocked[ui:])
-            yield from walk(merged, size + 1)
+            yield from walk(sorted(addable[i + 1 :] + unlocked), size + 1)
             present[e] = 0
             current.pop()
 
@@ -508,14 +496,17 @@ CLAIMS: dict[str, ClaimSpec] = {
 
 
 def _left_compressed_instances(
-    spec: ClaimSpec, t: int, r: int, m: int, budget: dict[str, int] | None
+    spec: ClaimSpec, t: int, r: int, m: int, max_graphs: int | None
 ) -> Iterator[RUniformHypergraph]:
     n = spec.n_for(t, r, m)
+    budget = Budget(max_vertices=n, max_edges=max(40, m))
+    if max_graphs is not None:
+        budget = replace(budget, max_graphs=max_graphs)
     graphs = enumerate_left_compressed(
         r,
         m,
         n,
-        replace(Budget(max_vertices=n, max_edges=max(40, m)), **(budget or {})),
+        budget,
         seed_prefix=spec.seed_prefix(t, r),
         forbidden_ranks=spec.forbidden(t, r),
     )
@@ -530,16 +521,17 @@ def run_claim(
     r: int | None = None,
     m: int | None = None,
     config: SolverConfig | None = None,
-    budget: dict[str, int] | None = None,
+    max_graphs: int | None = None,
 ) -> VerificationReport:
     """Check the claim `claim_id` of `CLAIMS` at clique order t.
 
     Sweeps the claim's default edge counts when m is None. Each edge count m
     enumerates with `Budget(max_vertices=n, max_edges=max(40, m))`, n the
-    claim's vertex count; `budget` maps `Budget` field names to values that
-    replace those fields, e.g. `{"max_graphs": 1000}`. Raises ValueError
-    for an unknown claim, a missing t, and a t, r or m the claim's row rules
-    out.
+    claim's vertex count, and `max_graphs` in place of the default graph cap
+    when given. `config` defaults to `HARNESS_SOLVER`; sharpness solves
+    nothing and does not use it. Raises ValueError for an unknown claim, a
+    missing t, a t, r or m the claim's row rules out, and a `max_graphs` for
+    a row that enumerates nothing (lemma-2.2, sharpness).
     """
     spec = CLAIMS.get(claim_id)
     if spec is None:
@@ -563,6 +555,8 @@ def run_claim(
             raise ValueError(f"claim {claim_id} does not take --m")
         if not lo <= m <= hi:
             raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
+    if max_graphs is not None and spec.instances != "left-compressed":
+        raise ValueError(f"claim {claim_id} enumerates no graphs; drop --budget")
     cfg = config or HARNESS_SOLVER
     if spec.instances == "split-weighting":
         return _split_weighting(r, t, lo)
@@ -573,7 +567,7 @@ def run_claim(
     else:
         ms = [m] if m is not None else _default_m_values(lo, hi, r, t)
         parameters = {"r": r, "t": t, "m_values": ms}
-        groups = (_left_compressed_instances(spec, t, r, k, budget) for k in ms)
+        groups = (_left_compressed_instances(spec, t, r, k, max_graphs) for k in ms)
     return _sweep(
         claim_id, parameters, groups, reference, spec.relation, cfg, spec.scope
     )

@@ -54,26 +54,6 @@ class RUniformHypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, e: Iterable[int]) -> bool:
-        return rset(e) in self.edge_set
-
-
-@dataclass(frozen=True)
-class LinkView:
-    """Member sets completing the pinned vertices into edges (or non-edges).
-
-    For pinned {i} the members are the (r-1)-sets A with A + {i} an edge; for
-    pinned {i, j} the (r-2)-sets B with B + {i, j} an edge. `complemented`
-    swaps edges for non-edges; `minus` restricts to members A whose completion
-    through that vertex is a non-edge (the E_i minus E_j view).
-    """
-
-    base: RUniformHypergraph
-    pinned: frozenset[int]
-    complemented: bool
-    minus: int | None
-    sets: frozenset[tuple[int, ...]]
-
 
 def hypergraph(r: int, edges: Iterable[Iterable[int]], n: int | None = None) -> RUniformHypergraph:
     """Build a hypergraph from edges; n defaults to the largest vertex used."""
@@ -109,11 +89,14 @@ def link(
     pinned: Iterable[int],
     complemented: bool = False,
     difference_against: int | None = None,
-) -> LinkView:
-    """Link view at one or two pinned vertices.
+) -> frozenset[tuple[int, ...]]:
+    """Member sets completing the pinned vertices into edges.
 
-    difference_against = j (with a single pinned vertex i) selects the members
-    A completing i into an edge while A + {j} is a non-edge.
+    For pinned {i} the members are the (r-1)-sets A with A + {i} an edge
+    (the paper's E_i); for pinned {i, j} the (r-2)-sets B with B + {i, j} an
+    edge (E_ij). `complemented` swaps edges for non-edges; difference_against
+    = j (with a single pinned vertex i) selects the members A completing i
+    into an edge while A + {j} is a non-edge (E_i minus E_j).
     """
     pins = frozenset(pinned)
     if len(pins) not in (1, 2):
@@ -146,7 +129,7 @@ def link(
                 members.append(combo)
         elif is_edge != complemented:
             members.append(combo)
-    return LinkView(g, pins, complemented, difference_against, frozenset(members))
+    return frozenset(members)
 
 
 def descendants(a: Iterable[int], direct_only: bool = False) -> frozenset[RSet]:

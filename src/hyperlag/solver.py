@@ -25,14 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ZeroValueError
 from .hypergraph import (
     CLIQUE_SEARCH_MAX_VERTICES,
-    LinkView,
     RUniformHypergraph,
     is_left_compressed,
     max_clique_order,
@@ -135,15 +134,17 @@ def evaluate_exact(g: RUniformHypergraph, weights: Sequence) -> Fraction:
     return total
 
 
-def link_value(g: RUniformHypergraph, view: LinkView, x: Sequence[float]) -> float:
-    """Sum over the view's member sets of the product of their weights."""
-    if view.base != g:
-        raise ValueError("link view does not belong to this hypergraph")
+def link_value(
+    g: RUniformHypergraph, sets: Iterable[Sequence[int]], x: Sequence[float]
+) -> float:
+    """Sum over the member sets (as from `link`) of the product of their weights."""
     arr = _as_weights(g, x)
     total = 0.0
-    for s in view.sets:
+    for s in sets:
         p = 1.0
         for v in s:
+            if not 1 <= v <= g.n:
+                raise IndexError(f"vertex {v} outside [1, {g.n}]")
             p *= arr[v - 1]
         total += p
     return total
@@ -249,8 +250,6 @@ def sorted_polish(
     eidx = _edge_index(g)
     for _ in range(16):
         arr = np.sort(arr)[::-1].copy()
-        if _batch_value(eidx, arr[None, :])[0] <= 0.0:
-            return arr
         arr = _ascend(eidx, g.n, g.r, arr[None, :], cfg.max_iterations)[0][0]
         if np.all(arr[:-1] >= arr[1:] - 1e-12):
             break
@@ -270,17 +269,9 @@ def _starts(g: RUniformHypergraph, config: SolverConfig) -> np.ndarray:
             w = np.zeros(n)
             w[np.asarray(clique) - 1] = 1.0 / len(clique)
             rows.append(w)
-            if len(rows) >= config.restarts:
-                break
-    eidx = _edge_index(g)
     while len(rows) < config.restarts:
         rng = np.random.default_rng((config.seed, len(rows)))
-        w = rng.dirichlet(np.ones(n))
-        for _ in range(50):
-            if _batch_value(eidx, w[None, :])[0] > 0.0:
-                break
-            w = rng.dirichlet(np.ones(n))
-        rows.append(w)
+        rows.append(rng.dirichlet(np.ones(n)))
     return np.asarray(rows)
 
 
@@ -330,11 +321,10 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
         # descending reassignment never lowers the value for this class, and
         # multiplicative updates keep exact zeros, so adoption is loss-free
         y = sorted_polish(g, best_x, cfg)
-        yv = _batch_value(eidx, y[None, :])[0]
-        if yv >= best_val - 1e-12:
+        gy, vy = _batch_grad(eidx, n, y[None, :])
+        if vy[0] >= best_val - 1e-12:
             best_x = y
-            best_val = float(yv)
-            gy, vy = _batch_grad(eidx, n, y[None, :])
+            best_val = float(vy[0])
             best_kkt = float(_kkt_rows(y[None, :], gy, vy, g.r)[0])
 
     converged = best_kkt <= KKT_TOLERANCE
@@ -359,9 +349,7 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
 
 def complete_lagrangian(t: int, r: int) -> float:
     """Value of the complete r-graph on t vertices: C(t, r) / t^r."""
-    if r < 2 or t < r:
-        raise ValueError(f"need t >= r >= 2, got t = {t}, r = {r}")
-    return comb(t, r) / t**r
+    return float(complete_lagrangian_exact(t, r))
 
 
 def complete_lagrangian_exact(t: int, r: int) -> Fraction:

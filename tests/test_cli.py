@@ -189,22 +189,36 @@ def test_verify_no_instances_is_inconclusive(capsys):
 def test_verify_budget_flag(capsys):
     code, _, err = run(
         capsys,
-        "verify", "theorem-5.1", "--t", "5", "--budget", "graphs=1",
+        "verify", "theorem-5.1", "--t", "5", "--budget", "1",
     )
     assert code == 2
     assert "graph budget" in err
 
 
-def test_verify_budget_replaces_only_the_named_fields(capsys):
+def test_verify_budget_caps_only_graphs(capsys):
     argv = ["verify", "theorem-3.1", "--t", "6", "--m", "10"]
     code, default, _ = run(capsys, *argv)
     assert code == 0
-    # naming graphs keeps the claim's own vertex and edge limits
+    # a graph cap keeps the claim's own vertex and edge limits
     code, budgeted, err = run(capsys, *argv, "--budget", "100000")
     assert (code, budgeted, err) == (0, default, "")
-    code, _, err = run(capsys, *argv, "--budget", "vertices=8")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["lemma-2.2", "--r", "3", "--t", "5", "--budget", "1"], "enumerates no graphs"),
+        (["sharpness", "--r", "3", "--t", "6", "--budget", "1"], "enumerates no graphs"),
+        (["sharpness", "--r", "3", "--t", "6", "--restarts", "5"], "solves nothing"),
+        (["sharpness", "--r", "3", "--t", "6", "--max-iterations", "9"], "solves nothing"),
+        (["sharpness", "--r", "3", "--t", "6", "--seed", "3"], "solves nothing"),
+    ],
+)
+def test_verify_refuses_settings_the_claim_ignores(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 2
-    assert "vertex budget exceeded" in err
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("spec", ["0", "graphs=0", "vertices=-1", "edges=0", "graphs=x"])
@@ -239,15 +253,6 @@ def test_solver_flags_match_config_and_readme(capsys):
     assert set(re.findall(r"--[a-z-]+", paragraph)) == {
         "--" + name.replace("_", "-") for name in fields
     }
-
-
-def test_env_seed_matches_flag(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "g.hg"
-    run(capsys, "gen", "colex", "--r", "2", "--m", "5", "-o", str(path))
-    code, flagged, _ = run(capsys, "solve", str(path), "--format", "json", "--seed", "11")
-    monkeypatch.setenv("HYPERLAG_SEED", "11")
-    code2, via_env, _ = run(capsys, "solve", str(path), "--format", "json")
-    assert (code, flagged) == (code2, via_env)
 
 
 def test_verify_exit_codes_map_verdicts(capsys, monkeypatch):

@@ -97,7 +97,7 @@ def test_left_compress_contract(g):
 @given(graphs())
 def test_left_compressed_iff_difference_links_empty(g):
     expected = all(
-        not link(g, {j}, difference_against=i).sets
+        not link(g, {j}, difference_against=i)
         for i in range(1, g.n + 1)
         for j in range(i + 1, g.n + 1)
     )

@@ -75,6 +75,13 @@ class TestLinkValue:
         g = hypergraph(2, [], n=3)
         assert link_value(g, link(g, {1}), [1 / 3] * 3) == 0.0
 
+    def test_rejects_vertex_outside_graph(self):
+        # a set naming vertex 0 must not wrap around to the last weight
+        with pytest.raises(IndexError):
+            link_value(TRIANGLE, {(0,)}, [0.5, 0.25, 0.25])
+        with pytest.raises(IndexError):
+            link_value(TRIANGLE, {(4,)}, [0.5, 0.25, 0.25])
+
     def test_pair_link_of_2_graph_counts_membership(self):
         # degree-zero monomials: the empty product counts the edge itself
         view = link(TRIANGLE, {1, 2})
