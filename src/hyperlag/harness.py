@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -50,14 +50,9 @@ HARNESS_SOLVER = SolverConfig(restarts=16, max_iterations=5000)
 #: Values within this of the reference are neither above nor below it.
 EQUALITY_TOLERANCE = 1e-6
 
-
-@dataclass(frozen=True)
-class Budget:
-    """Limits for enumeration work; exceeding any raises ResourceLimitError."""
-
-    max_vertices: int = 8
-    max_edges: int = 40
-    max_graphs: int | None = 1_000_000
+#: Most r-sets `enumerate_left_compressed` puts in its rank tables. Each set
+#: costs about 300 bytes, so the tables stay under about 300 MB.
+MAX_TABLE_SETS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,8 +89,8 @@ def enumerate_left_compressed(
     r: int,
     m: int,
     n: int,
-    budget: Budget | None = None,
     *,
+    max_graphs: int = 1_000_000,
     seed_prefix: int = 0,
     forbidden_ranks: Iterable[int] = (),
 ) -> Iterator[RUniformHypergraph]:
@@ -103,26 +98,33 @@ def enumerate_left_compressed(
 
     seed_prefix forces the first `seed_prefix` colex ranks into every graph
     (they always form a down-set); forbidden_ranks excludes specific colex
-    ranks, which also excludes all of their ancestors.
+    ranks, which also excludes all of their ancestors. Raises
+    ResourceLimitError when the rank tables would hold more than
+    `MAX_TABLE_SETS` r-sets or more than `max_graphs` graphs come out.
     """
-    budget = budget or Budget()
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
     if m < 1:
         raise ValueError(f"edge count must be >= 1, got {m}")
     if comb(n, r) < m:
         raise ValueError(f"C({n}, {r}) < {m}: no such graphs")
-    if m > budget.max_edges:
-        raise ResourceLimitError(f"edge budget exceeded: m = {m} > {budget.max_edges}")
-    # A graph using vertex v must contain the chain {1..r-1, w} for w <= v,
-    # so m edges never reach past vertex m + r - 1.
-    n_eff = min(n, m + r - 1)
-    if n_eff > budget.max_vertices:
+    if not 0 <= seed_prefix <= m:
+        raise ValueError(f"seed_prefix {seed_prefix} outside [0, {m}]")
+    forbidden = frozenset(forbidden_ranks)
+    if any(f <= seed_prefix for f in forbidden):
+        raise ValueError("forbidden rank inside the seeded prefix")
+    # A graph using a vertex v above the prefix's top vertex contains
+    # {1..r-1, w} for every w in (top, v]. None of those is in the prefix, so
+    # v - top <= m - seed_prefix; with no prefix, top = r - 1.
+    top = colex_unrank(seed_prefix, r)[-1] if seed_prefix else r - 1
+    n_eff = min(n, top + m - seed_prefix)
+    N = comb(n_eff, r)
+    if N > MAX_TABLE_SETS:
         raise ResourceLimitError(
-            f"vertex budget exceeded: need n = {n_eff} > {budget.max_vertices}"
+            f"enumeration table limit exceeded: C({n_eff}, {r}) = {N} r-sets"
+            f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
         )
 
-    N = comb(n_eff, r)
     elements = [colex_unrank(k, r) for k in range(1, N + 1)]
     rank_of = {e: k for k, e in enumerate(elements, start=1)}
     dd = [()] + [
@@ -132,11 +134,6 @@ def enumerate_left_compressed(
         tuple(sorted(rank_of[a] for a in _direct_ancestors(e, n_eff)))
         for e in elements
     ]
-    forbidden = frozenset(forbidden_ranks)
-    if seed_prefix < 0 or seed_prefix > min(m, N):
-        raise ValueError(f"seed_prefix {seed_prefix} outside [0, {min(m, N)}]")
-    if any(f <= seed_prefix for f in forbidden):
-        raise ValueError("forbidden rank inside the seeded prefix")
 
     present = bytearray(N + 1)
     current: list[tuple[int, ...]] = []
@@ -155,9 +152,9 @@ def enumerate_left_compressed(
         nonlocal yielded
         if size == m:
             yielded += 1
-            if budget.max_graphs is not None and yielded > budget.max_graphs:
+            if yielded > max_graphs:
                 raise ResourceLimitError(
-                    f"graph budget exceeded: more than {budget.max_graphs} graphs"
+                    f"graph budget exceeded: more than {max_graphs} graphs"
                 )
             yield hypergraph(r, list(current))
             return
@@ -324,7 +321,7 @@ def _split_weighting(r: int, t: int, m: int) -> VerificationReport:
 
 def _default_m_values(lo: int, hi: int, r: int, t: int) -> list[int]:
     """Default sweep: exhaustive for 3-graphs up to t = 7, sampled at t = 8,
-    endpoints only for r >= 4."""
+    endpoints only for every other uniformity."""
     if hi < lo:
         return []
     if r == 3:
@@ -498,17 +495,14 @@ CLAIMS: dict[str, ClaimSpec] = {
 def _left_compressed_instances(
     spec: ClaimSpec, t: int, r: int, m: int, max_graphs: int | None
 ) -> Iterator[RUniformHypergraph]:
-    n = spec.n_for(t, r, m)
-    budget = Budget(max_vertices=n, max_edges=max(40, m))
-    if max_graphs is not None:
-        budget = replace(budget, max_graphs=max_graphs)
+    cap = {} if max_graphs is None else {"max_graphs": max_graphs}
     graphs = enumerate_left_compressed(
         r,
         m,
-        n,
-        budget,
+        spec.n_for(t, r, m),
         seed_prefix=spec.seed_prefix(t, r),
         forbidden_ranks=spec.forbidden(t, r),
+        **cap,
     )
     if spec.keep is None:
         return graphs
@@ -526,12 +520,13 @@ def run_claim(
     """Check the claim `claim_id` of `CLAIMS` at clique order t.
 
     Sweeps the claim's default edge counts when m is None. Each edge count m
-    enumerates with `Budget(max_vertices=n, max_edges=max(40, m))`, n the
-    claim's vertex count, and `max_graphs` in place of the default graph cap
-    when given. `config` defaults to `HARNESS_SOLVER`; sharpness solves
-    nothing and does not use it. Raises ValueError for an unknown claim, a
-    missing t, a t, r or m the claim's row rules out, and a `max_graphs` for
-    a row that enumerates nothing (lemma-2.2, sharpness).
+    enumerates the claim's graphs with `enumerate_left_compressed`, capped at
+    `max_graphs` graphs when given and at its default cap otherwise.
+    `config` defaults to `HARNESS_SOLVER`; sharpness solves nothing and does
+    not use it. Raises ValueError for an unknown claim, a missing t, a t, r
+    or m the claim's row rules out, and a `max_graphs` for a row that
+    enumerates nothing (lemma-2.2, sharpness); ResourceLimitError when an
+    edge count needs more than `MAX_TABLE_SETS` r-sets or a cap is exceeded.
     """
     spec = CLAIMS.get(claim_id)
     if spec is None:

@@ -64,6 +64,8 @@ class SolverConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

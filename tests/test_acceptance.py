@@ -250,9 +250,7 @@ def test_criterion_8_property_suites():
     # sorted optimum on left-compressed instances
     unsorted_count = 0
     for m in (4, 6, 8, 10):
-        from hyperlag import Budget
-
-        for g in enumerate_left_compressed(3, m, m + 2, Budget(max_vertices=m + 2)):
+        for g in enumerate_left_compressed(3, m, m + 2):
             w = _solve(g, FAST).weighting
             if not all(w[i] >= w[i + 1] - 1e-7 for i in range(len(w) - 1)):
                 unsorted_count += 1

@@ -240,6 +240,24 @@ def test_verify_rejects_non_positive_solver_settings(capsys, flag, value):
     assert f"{flag[2:].replace('-', '_')} must be >= 1" in err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "k.hg"
+    run(capsys, "gen", "complete", "--r", "3", "--t", "4", "-o", str(path))
+    for argv in (
+        ["solve", str(path), "--seed", "-1", "--restarts", "1"],
+        ["verify", "conjecture-2.2", "--t", "5", "--seed", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "seed must be >= 0, got -1" in err
+
+
+def test_verify_table_limit_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "theorem-4.3", "--t", "20", "--m", "3960")
+    assert (code, out) == (2, "")
+    assert "MAX_TABLE_SETS" in err
+
+
 def test_solver_flags_match_config_and_readme(capsys):
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     for subcommand in ("solve", "verify"):

@@ -35,6 +35,8 @@ CASES = [
     ("theorem-3.1", {"t": 6, "m": 10}),
     ("theorem-4.1", {"t": 5}),
     ("theorem-4.3", {"t": 7}),
+    ("theorem-4.3", {"t": 8}),
+    ("theorem-4.3", {"t": 9}),
     ("corollary-3.1", {"t": 5}),
     ("corollary-3.2", {"t": 5}),
     ("corollary-3.1", {"t": 6, "m": 10}),

@@ -6,7 +6,6 @@ import pytest
 
 from hyperlag import (
     CLAIMS,
-    Budget,
     ResourceLimitError,
     SolverConfig,
     complete_graph,
@@ -59,36 +58,24 @@ class TestEnumeration:
             assert is_left_compressed(g)
 
     def test_no_duplicates(self):
-        seen = [
-            g.edges
-            for g in enumerate_left_compressed(3, 7, 9, Budget(max_vertices=9))
-        ]
+        seen = [g.edges for g in enumerate_left_compressed(3, 7, 9)]
         assert len(seen) == len(set(seen))
 
     def test_seed_prefix_contains_clique(self):
-        for g in enumerate_left_compressed(
-            3, 12, 14, Budget(max_vertices=14), seed_prefix=10
-        ):
+        for g in enumerate_left_compressed(3, 12, 14, seed_prefix=10):
             assert set(complete_graph(5, 3).edges) <= g.edge_set
 
     def test_forbidden_rank_blocks_clique(self):
-        for g in enumerate_left_compressed(
-            3, 12, 14, Budget(max_vertices=14), forbidden_ranks={10}
-        ):
+        for g in enumerate_left_compressed(3, 12, 14, forbidden_ranks={10}):
             assert (3, 4, 5) not in g.edge_set
             assert max_clique_order(g) < 5
 
     def test_budget_errors(self):
-        with pytest.raises(ResourceLimitError, match="edge budget"):
-            next(enumerate_left_compressed(3, 41, 43, Budget(max_vertices=50)))
-        with pytest.raises(ResourceLimitError, match="vertex budget"):
-            next(enumerate_left_compressed(3, 12, 14))
+        # The tables would hold C(103, 4) = 4,421,275 r-sets; nothing is built.
+        with pytest.raises(ResourceLimitError, match="MAX_TABLE_SETS = 1000000"):
+            next(enumerate_left_compressed(4, 3960, 3963, seed_prefix=3876))
         with pytest.raises(ResourceLimitError, match="graph budget"):
-            list(
-                enumerate_left_compressed(
-                    3, 6, 8, Budget(max_graphs=2)
-                )
-            )
+            list(enumerate_left_compressed(3, 6, 8, max_graphs=2))
 
     def test_infeasible_m(self):
         with pytest.raises(ValueError):
@@ -96,7 +83,7 @@ class TestEnumeration:
 
     def test_lc_clique_shortcut_agrees(self):
         for m in (4, 7, 11):
-            for g in enumerate_left_compressed(3, m, m + 2, Budget(max_vertices=13)):
+            for g in enumerate_left_compressed(3, m, m + 2):
                 assert lc_max_clique_order(g) == max_clique_order(g)
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperlag import (
-    Budget,
     SolverConfig,
     colex_compare,
     colex_rank,
@@ -153,8 +152,7 @@ def test_solver_matches_2_graph_closed_form(g):
 
 @pytest.mark.parametrize("m", [4, 6, 9, 11, 13])
 def test_sorted_optimum_on_left_compressed(m):
-    budget = Budget(max_vertices=m + 2)
-    for g in enumerate_left_compressed(3, m, m + 2, budget):
+    for g in enumerate_left_compressed(3, m, m + 2):
         w = solve(g, FAST).weighting
         assert all(w[i] >= w[i + 1] - 1e-7 for i in range(len(w) - 1))
 
@@ -164,8 +162,7 @@ def test_difference_identity_at_optima(m):
     # At an optimum with support {1..k} of a left-compressed graph, the
     # weight gap between supported i < j is the difference-link value over
     # the pair-link value.
-    budget = Budget(max_vertices=m + 2)
-    for g in enumerate_left_compressed(3, m, m + 2, budget):
+    for g in enumerate_left_compressed(3, m, m + 2):
         rep = solve(g, FAST)
         if not rep.converged:
             continue
