@@ -32,16 +32,6 @@ def rset(elements: Iterable[int]) -> RSet:
     return out
 
 
-def colex_compare(a: Iterable[int], b: Iterable[int]) -> int:
-    """Return -1, 0, or 1 as a precedes, equals, or follows b in colex order."""
-    sa, sb = rset(a), rset(b)
-    if len(sa) != len(sb):
-        raise ValueError(f"uniformity mismatch: |a| = {len(sa)}, |b| = {len(sb)}")
-    if sa == sb:
-        return 0
-    return -1 if max(set(sa) ^ set(sb)) in sb else 1
-
-
 def colex_rank(a: Iterable[int]) -> int:
     """1-based position of the r-set in the colex order of all r-sets."""
     sa = rset(a)

@@ -12,6 +12,3 @@ class ParseError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A search or enumeration exceeded its budget; message names the limit."""
 
-
-class ZeroValueError(ValueError):
-    """Growth update requested at a weighting with zero polynomial value."""

@@ -522,10 +522,10 @@ def run_claim(
     Sweeps the claim's default edge counts when m is None. Each edge count m
     enumerates the claim's graphs with `enumerate_left_compressed`, capped at
     `max_graphs` graphs when given and at its default cap otherwise.
-    `config` defaults to `HARNESS_SOLVER`; sharpness solves nothing and does
-    not use it. Raises ValueError for an unknown claim, a missing t, a t, r
-    or m the claim's row rules out, and a `max_graphs` for a row that
-    enumerates nothing (lemma-2.2, sharpness); ResourceLimitError when an
+    `config` defaults to `HARNESS_SOLVER`. Raises ValueError for an unknown
+    claim, a missing t, a t, r or m the claim's row rules out, a `max_graphs`
+    for a row that enumerates nothing (lemma-2.2, sharpness) and a `config`
+    for a row that solves nothing (sharpness); ResourceLimitError when an
     edge count needs more than `MAX_TABLE_SETS` r-sets or a cap is exceeded.
     """
     spec = CLAIMS.get(claim_id)
@@ -552,6 +552,10 @@ def run_claim(
             raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
     if max_graphs is not None and spec.instances != "left-compressed":
         raise ValueError(f"claim {claim_id} enumerates no graphs; drop --budget")
+    if config is not None and spec.instances == "split-weighting":
+        raise ValueError(
+            f"claim {claim_id} solves nothing; drop --restarts, --max-iterations and --seed"
+        )
     cfg = config or HARNESS_SOLVER
     if spec.instances == "split-weighting":
         return _split_weighting(r, t, lo)
@@ -571,7 +575,9 @@ def run_claim(
 # --- serialization -----------------------------------------------------------
 
 
-def report_to_json_dict(report: VerificationReport) -> dict:
+def report_to_json(report: VerificationReport) -> str:
+    # runtime_seconds is deliberately left out so identical invocations with
+    # identical seeds produce byte-identical output.
     rows_margins = [row.margin for row in report.rows]
     margins = (
         {
@@ -582,7 +588,7 @@ def report_to_json_dict(report: VerificationReport) -> dict:
         if rows_margins
         else None
     )
-    return {
+    doc = {
         "claim_id": report.claim_id,
         "parameters": report.parameters,
         "scope": report.scope,
@@ -599,12 +605,7 @@ def report_to_json_dict(report: VerificationReport) -> dict:
             for w in report.witnesses
         ],
     }
-
-
-def report_to_json(report: VerificationReport) -> str:
-    # runtime_seconds is deliberately left out so identical invocations with
-    # identical seeds produce byte-identical output.
-    return json.dumps(report_to_json_dict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def report_to_csv(report: VerificationReport) -> str:

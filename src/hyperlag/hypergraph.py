@@ -132,14 +132,9 @@ def link(
     return frozenset(members)
 
 
-def descendants(a: Iterable[int], direct_only: bool = False) -> frozenset[RSet]:
-    """Sets dominated coordinatewise by a with strictly smaller sum.
-
-    direct_only keeps the covers: coordinate sum exactly one less.
-    """
+def descendants(a: Iterable[int]) -> frozenset[RSet]:
+    """Sets dominated coordinatewise by a with strictly smaller sum."""
     sa = rset(a)
-    if direct_only:
-        return frozenset(_direct_descendants(sa))
     r = len(sa)
     out: list[RSet] = []
 

@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ZeroValueError
 from .hypergraph import (
     CLIQUE_SEARCH_MAX_VERTICES,
     RUniformHypergraph,
@@ -202,18 +201,6 @@ def _ascend(
         iters[rows] += 1
         active[rows] = (newv - va) >= STEP_GAIN_FLOOR
     return X, vals, iters
-
-
-def growth_step(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
-    """One multiplicative update; the objective never decreases."""
-    arr = _as_weights(g, x)
-    _check_feasible(arr)
-    eidx = _edge_index(g)
-    grad, val = _batch_grad(eidx, g.n, arr[None, :])
-    if val[0] <= 0.0:
-        raise ZeroValueError("objective is zero at this weighting; restart instead")
-    out = arr * grad[0] / (g.r * val[0])
-    return out / out.sum()
 
 
 def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:

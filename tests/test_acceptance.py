@@ -23,7 +23,6 @@ from hyperlag import (
     enumerate_left_compressed,
     evaluate,
     evaluate_exact,
-    growth_step,
     hypergraph,
     is_left_compressed,
     left_compress,
@@ -31,6 +30,7 @@ from hyperlag import (
     run_claim,
     solve,
 )
+from hyperlag.solver import _ascend, _edge_index
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
 
@@ -190,7 +190,7 @@ def test_criterion_8_property_suites():
         if v <= 0:
             continue
         for _ in range(12):
-            x = growth_step(g, x)
+            x = _ascend(_edge_index(g), g.n, g.r, x[None, :], 1)[0][0]
             v2 = evaluate(g, x)
             if v2 < v - 1e-14:
                 violations += 1

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from hyperlag import colex_compare, colex_rank, colex_unrank, rset
+from hyperlag import colex_rank, colex_unrank, rset
 
 # First 21 triples of the order, written out by hand as the ground truth.
 TRIPLE_ORDER = [
@@ -24,10 +24,10 @@ def test_unrank_matches_reference_sequence():
 
 
 def test_compare_reference_cases():
-    assert colex_compare((2, 4, 6), (1, 5, 6)) == -1
-    assert colex_compare((1, 2, 3), (1, 2, 3)) == 0
-    assert colex_compare((1, 3, 4), (2, 3, 4)) == -1
-    assert colex_compare((2, 3, 4), (1, 3, 4)) == 1
+    assert colex_rank((2, 4, 6)) < colex_rank((1, 5, 6))
+    assert colex_rank((1, 2, 3)) == colex_rank((1, 2, 3))
+    assert colex_rank((1, 3, 4)) < colex_rank((2, 3, 4))
+    assert colex_rank((2, 3, 4)) > colex_rank((1, 3, 4))
 
 
 def test_rank_examples():
@@ -46,20 +46,6 @@ def test_unrank_examples():
 def test_rank_unrank_bijection_exhaustive(r):
     for k in range(1, comb(12, r) + 1):
         assert colex_rank(colex_unrank(k, r)) == k
-
-
-def test_compare_consistent_with_rank():
-    sets = TRIPLE_ORDER
-    for a in sets:
-        for b in sets:
-            cmp = colex_compare(a, b)
-            ra, rb = colex_rank(a), colex_rank(b)
-            assert cmp == (ra > rb) - (ra < rb)
-
-
-def test_uniformity_mismatch_rejected():
-    with pytest.raises(ValueError):
-        colex_compare((1, 2), (1, 2, 3))
 
 
 def test_rset_validation():

@@ -101,13 +101,13 @@ class TestVerifiers:
         assert rep.rows[0].reference == pytest.approx(1 / 3, abs=1e-16)
 
     def test_sharpness_3_6_exact(self):
-        rep = run_claim("sharpness", t=6, r=3, config=FAST)
+        rep = run_claim("sharpness", t=6, r=3)
         assert rep.verdict == "pass"
         assert rep.rows[0].value == pytest.approx(0.082, abs=1e-15)
         assert rep.rows[0].margin == pytest.approx(0.002, abs=1e-15)
 
     def test_sharpness_3_7(self):
-        rep = run_claim("sharpness", t=7, r=3, config=FAST)
+        rep = run_claim("sharpness", t=7, r=3)
         assert rep.verdict == "pass"
         assert rep.rows[0].margin > 1e-4
 
@@ -231,6 +231,10 @@ class TestDispatch:
         with pytest.raises(ValueError, match="requires --t"):
             run_claim("lemma-2.2")
 
+    def test_solver_settings_refused_where_nothing_is_solved(self):
+        with pytest.raises(ValueError, match="claim sharpness solves nothing"):
+            run_claim("sharpness", t=6, r=3, config=FAST)
+
     def test_readme_catalog_matches_claims(self):
         readme = Path(__file__).parents[1] / "README.md"
         catalog = {}
@@ -265,7 +269,7 @@ class TestReports:
         assert verdict == "pass"
 
     def test_text_mentions_verdict(self):
-        rep = run_claim("sharpness", t=6, r=3, config=FAST)
+        rep = run_claim("sharpness", t=6, r=3)
         text = report_to_text(rep)
         assert "verdict    pass" in text
 

@@ -23,8 +23,3 @@ def test_claim_battery_writes_reports(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # three sharpness entries, one JSON and one CSV report each
     assert len(list(tmp_path.iterdir())) == 6
-
-
-def test_profile_solver_runs():
-    proc = run_script("profile_solver.py", "--restarts", "1")
-    assert proc.returncode == 0, proc.stderr

@@ -5,14 +5,12 @@ import pytest
 
 from hyperlag import (
     SolverConfig,
-    ZeroValueError,
     colex_graph,
     complete_graph,
     complete_lagrangian,
     complete_lagrangian_exact,
     evaluate,
     evaluate_exact,
-    growth_step,
     hypergraph,
     kkt_residual,
     link,
@@ -21,8 +19,14 @@ from hyperlag import (
     solve,
     sorted_polish,
 )
+from hyperlag.solver import _ascend, _edge_index
 
 TRIANGLE = complete_graph(3, 2)
+
+
+def ascent_step(g, x):
+    """One multiplicative update of the solver's ascent."""
+    return _ascend(_edge_index(g), g.n, g.r, np.asarray(x, dtype=float)[None, :], 1)[0][0]
 
 
 class TestEvaluate:
@@ -90,24 +94,19 @@ class TestLinkValue:
 
 class TestGrowthStep:
     def test_symmetric_fixed_point(self):
-        out = growth_step(TRIANGLE, [1 / 3] * 3)
+        out = ascent_step(TRIANGLE, [1 / 3] * 3)
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_hand_computed_step(self):
-        out = growth_step(TRIANGLE, [0.5, 0.3, 0.2])
+        out = ascent_step(TRIANGLE, [0.5, 0.3, 0.2])
         lam = 0.5 * 0.3 + 0.5 * 0.2 + 0.3 * 0.2
         expect = np.array([0.5 * 0.5, 0.3 * 0.7, 0.2 * 0.8]) / (2 * lam)
         assert np.allclose(out, expect, atol=1e-15)
 
     def test_single_edge_jumps_to_optimum(self):
         g = hypergraph(2, [(1, 2)])
-        out = growth_step(g, [0.9, 0.1])
+        out = ascent_step(g, [0.9, 0.1])
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
-
-    def test_zero_value_raises(self):
-        g = hypergraph(2, [(1, 2)], n=3)
-        with pytest.raises(ZeroValueError):
-            growth_step(g, [0.0, 0.0, 1.0])
 
     def test_monotone_on_random_trajectories(self):
         rng = np.random.default_rng(3)
@@ -116,7 +115,7 @@ class TestGrowthStep:
             x = rng.dirichlet(np.ones(g.n))
             v = evaluate(g, x)
             for _ in range(30):
-                x = growth_step(g, x)
+                x = ascent_step(g, x)
                 v2 = evaluate(g, x)
                 assert v2 >= v - 1e-14
                 v = v2
