@@ -13,6 +13,11 @@ step is needed. Restart trials are independent; they are executed batched and
 reduced by value with ties broken on restart index, so the report for a fixed
 seed does not depend on scheduling.
 
+The link values come from one dense matrix per graph: the link tensor, with
+a 1/(r-1)! entry for each ordering of each edge, as an (n^(r-1), n) matrix.
+One step is one kernel call: an outer power of the weights times that
+matrix gives every link value, and the objective is x . d / r.
+
 First-order optimality at a weighting with minimal support means every
 supported vertex sees the same link value, equal to r times the objective,
 and no unsupported vertex sees more; `kkt_residual` measures the deviation.
@@ -23,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .hypergraph import (
     CLIQUE_SEARCH_MAX_VERTICES,
     RUniformHypergraph,
@@ -44,6 +50,8 @@ STEP_GAIN_FLOOR = 1e-14
 KKT_TOLERANCE = 1e-8
 #: Weights at or below this are off the support.
 SUPPORT_THRESHOLD = 1e-9
+#: Most entries (n^r) a graph's link matrix may hold, 8 MB of float64.
+MAX_LINK_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,32 @@ def _edge_index(g: RUniformHypergraph) -> np.ndarray:
     idx = np.asarray(g.edges, dtype=np.int64).reshape(g.m, g.r) - 1
     idx.setflags(write=False)
     return idx
+
+
+# Enough for one solve (ascent, polish, KKT check) to build its matrix once;
+# four matrices at the entry limit hold 32 MB.
+@lru_cache(maxsize=4)
+def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
+    """The link tensor as an (n^(r-1), n) matrix, divided by (r-1)!.
+
+    Row (i_1, ..., i_{r-1}), an ordered tuple read as a base-n number, and
+    column v hold 1/(r-1)! when {i_1, ..., i_{r-1}, v} is an edge. Raises
+    ResourceLimitError past `MAX_LINK_ENTRIES`, before allocating.
+    """
+    n, r = g.n, g.r
+    if n**r > MAX_LINK_ENTRIES:
+        raise ResourceLimitError(
+            f"link matrix limit exceeded: n^r = {n}^{r} = {n**r} entries"
+            f" > MAX_LINK_ENTRIES = {MAX_LINK_ENTRIES}"
+        )
+    T = np.zeros(n**r)
+    place = n ** np.arange(r - 1, -1, -1)
+    eidx = _edge_index(g)
+    for perm in permutations(range(r)):
+        T[eidx[:, perm] @ place] = 1.0 / factorial(r - 1)
+    L = T.reshape(n ** (r - 1), n)
+    L.setflags(write=False)
+    return L
 
 
 def _as_weights(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
@@ -151,56 +185,55 @@ def link_value(
     return total
 
 
-def _batch_grad(eidx: np.ndarray, n: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Link values at every vertex and objective values, per batch row."""
-    B = X.shape[0]
-    if eidx.shape[0] == 0:
-        return np.zeros((B, n)), np.zeros(B)
-    W = X[:, eidx]  # (B, m, r)
-    vals = W.prod(axis=2).sum(axis=1)
-    r = eidx.shape[1]
-    left = np.ones_like(W)
-    left[:, :, 1:] = np.cumprod(W[:, :, :-1], axis=2)
-    right = np.ones_like(W)
-    right[:, :, :-1] = np.cumprod(W[:, :, ::-1], axis=2)[:, :, ::-1][:, :, 1:]
-    loo = left * right
-    flat = (np.arange(B)[:, None] * n + eidx.reshape(-1)[None, :]).ravel()
-    grad = np.bincount(flat, weights=loo.reshape(B, -1).ravel(), minlength=B * n)
-    return grad.reshape(B, n), vals
+def _batch_grad(L: np.ndarray, r: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Link values at every vertex and objective values, per batch row.
 
-
-def _batch_value(eidx: np.ndarray, X: np.ndarray) -> np.ndarray:
-    if eidx.shape[0] == 0:
-        return np.zeros(X.shape[0])
-    return X[:, eidx].prod(axis=2).sum(axis=1)
+    One matmul contracts the outer power of degree d = max(1, r-2) of each
+    row with the link tensor viewed as (n^d, n^(r-d)); an index left over
+    (r >= 3) is contracted with the row itself. Stopping one degree short
+    keeps the outer power at n^(r-2) entries per row; at r = 4 the one-stage
+    form, with n^3 entries per row, was two to three times slower.
+    """
+    B, n = X.shape
+    d = max(1, r - 2)
+    P = X
+    for _ in range(d - 1):
+        P = (P[:, :, None] * X[:, None, :]).reshape(B, -1)
+    grad = P @ L.reshape(n**d, -1)
+    if d < r - 1:
+        grad = np.einsum("bk,bkv->bv", X, grad.reshape(B, n, n))
+    return grad, np.einsum("bv,bv->b", X, grad) / r
 
 
 def _ascend(
-    eidx: np.ndarray,
-    n: int,
-    r: int,
-    X0: np.ndarray,
-    max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run growth updates on each row until its gain drops below the floor."""
+    L: np.ndarray, r: int, X0: np.ndarray, max_iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run growth updates on each row until its gain drops below the floor.
+
+    Returns the rows, their values, their link values and their step counts.
+    Link values carry over from one step to the next, so a step is one
+    kernel call; a row leaves the batch when it stops.
+    """
     X = X0.copy()
-    vals = _batch_value(eidx, X)
-    active = vals > 0.0
+    grad, vals = _batch_grad(L, r, X)
     iters = np.zeros(X.shape[0], dtype=np.int64)
-    for _ in range(max_iterations):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        Xa = X[rows]
-        grad, va = _batch_grad(eidx, n, Xa)
-        newX = Xa * grad / (r * va)[:, None]
-        newX /= newX.sum(axis=1, keepdims=True)
-        newv = _batch_value(eidx, newX)
-        X[rows] = newX
-        vals[rows] = newv
-        iters[rows] += 1
-        active[rows] = (newv - va) >= STEP_GAIN_FLOOR
-    return X, vals, iters
+    rows = np.flatnonzero(vals > 0.0)
+    Xa, ga, va = X[rows], grad[rows], vals[rows]
+    step = 0
+    while rows.size and step < max_iterations:
+        step += 1
+        Xa = Xa * ga
+        Xa /= Xa.sum(axis=1, keepdims=True)
+        ga, newv = _batch_grad(L, r, Xa)
+        moving = (newv - va) >= STEP_GAIN_FLOOR
+        va = newv
+        if not moving.all():
+            stop = ~moving
+            out = rows[stop]
+            X[out], grad[out], vals[out], iters[out] = Xa[stop], ga[stop], va[stop], step
+            rows, Xa, ga, va = rows[moving], Xa[moving], ga[moving], va[moving]
+    X[rows], grad[rows], vals[rows], iters[rows] = Xa, ga, va, step
+    return X, vals, grad, iters
 
 
 def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:
@@ -211,7 +244,7 @@ def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:
     """
     arr = _as_weights(g, x)
     _check_feasible(arr)
-    grad, val = _batch_grad(_edge_index(g), g.n, arr[None, :])
+    grad, val = _batch_grad(_link_matrix(g), g.r, arr[None, :])
     return float(_kkt_rows(arr[None, :], grad, val, g.r)[0])
 
 
@@ -236,10 +269,10 @@ def sorted_polish(
     cfg = config or SolverConfig()
     arr = _as_weights(g, x)
     _check_feasible(arr)
-    eidx = _edge_index(g)
+    L = _link_matrix(g)
     for _ in range(16):
         arr = np.sort(arr)[::-1].copy()
-        arr = _ascend(eidx, g.n, g.r, arr[None, :], cfg.max_iterations)[0][0]
+        arr = _ascend(L, g.r, arr[None, :], cfg.max_iterations)[0][0]
         if np.all(arr[:-1] >= arr[1:] - 1e-12):
             break
     return arr
@@ -289,16 +322,14 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
             pairs_covered=(n == 1),
         )
 
-    eidx = _edge_index(g)
+    L = _link_matrix(g)
     X0 = _starts(g, cfg)
-    X1, _, it1 = _ascend(eidx, n, g.r, X0, cfg.max_iterations)
+    X1, _, _, it1 = _ascend(L, g.r, X0, cfg.max_iterations)
 
     Xm = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
     Xm /= Xm.sum(axis=1, keepdims=True)
-    X2, v2, it2 = _ascend(eidx, n, g.r, Xm, cfg.max_iterations)
-
-    grad, vg = _batch_grad(eidx, n, X2)
-    kkt = _kkt_rows(X2, grad, vg, g.r)
+    X2, v2, grad, it2 = _ascend(L, g.r, Xm, cfg.max_iterations)
+    kkt = _kkt_rows(X2, grad, v2, g.r)
 
     best = int(np.argmax(v2))
     best_x = X2[best]
@@ -310,7 +341,7 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
         # descending reassignment never lowers the value for this class, and
         # multiplicative updates keep exact zeros, so adoption is loss-free
         y = sorted_polish(g, best_x, cfg)
-        gy, vy = _batch_grad(eidx, n, y[None, :])
+        gy, vy = _batch_grad(L, g.r, y[None, :])
         if vy[0] >= best_val - 1e-12:
             best_x = y
             best_val = float(vy[0])

@@ -30,7 +30,7 @@ from hyperlag import (
     run_claim,
     solve,
 )
-from hyperlag.solver import _ascend, _edge_index
+from ascent import ascent_step
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
 
@@ -190,7 +190,7 @@ def test_criterion_8_property_suites():
         if v <= 0:
             continue
         for _ in range(12):
-            x = _ascend(_edge_index(g), g.n, g.r, x[None, :], 1)[0][0]
+            x = ascent_step(g, x)
             v2 = evaluate(g, x)
             if v2 < v - 1e-14:
                 violations += 1

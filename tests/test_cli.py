@@ -260,6 +260,15 @@ def test_verify_table_limit_exits_2(capsys):
     assert "MAX_TABLE_SETS" in err
 
 
+def test_solve_link_matrix_limit_exits_2(tmp_path, capsys):
+    # 2000^3 entries: past MAX_LINK_ENTRIES before anything is allocated
+    path = tmp_path / "wide.hg"
+    path.write_text("3 2000 1\n1 2 3\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert "MAX_LINK_ENTRIES" in err
+
+
 def test_solver_flags_match_config_and_readme(capsys):
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     for subcommand in ("solve", "verify"):

@@ -13,6 +13,9 @@ output is intended:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +24,7 @@ import pytest
 from hyperlag import format_hypergraph, hypergraph, report_to_csv, report_to_json, run_claim
 from hyperlag.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 GOLDEN_SOLVE = Path(__file__).parent / "data" / "golden_solve.json"
 
@@ -96,6 +100,29 @@ def render_solve(g):
 def test_solve_bytes_match_recording(name):
     expected = json.loads(GOLDEN_SOLVE.read_text())[name]
     assert render_solve(SOLVE_CASES[name]) == expected
+
+
+def cli_stdout(argv, blas_threads):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hyperlag.cli import main; sys.exit(main())", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(blas_threads)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # a matmul decides the low bits of every value
+    path = tmp_path / "g.hg"
+    path.write_text(format_hypergraph(SOLVE_CASES["left-compressed r=4"]))
+    for argv in (
+        ["solve", str(path), "--format", "json"],
+        ["verify", "corollary-3.1", "--t", "6", "--m", "10", "--format", "csv"],
+    ):
+        assert cli_stdout(argv, 1) == cli_stdout(argv, 2)
 
 
 if __name__ == "__main__":

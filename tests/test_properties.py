@@ -10,6 +10,7 @@ from hyperlag import (
     SolverConfig,
     colex_rank,
     colex_unrank,
+    complete_graph,
     complete_lagrangian,
     descendants,
     enumerate_left_compressed,
@@ -24,7 +25,8 @@ from hyperlag import (
     solve,
 )
 from hyperlag.hypergraph import _direct_descendants
-from hyperlag.solver import _ascend, _edge_index
+from hyperlag.solver import _batch_grad, _link_matrix
+from ascent import ascent_step
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
 
@@ -62,11 +64,6 @@ def colex_compare(a, b):
     """-1, 0 or 1 as a precedes, equals or follows b: the larger element of
     the symmetric difference lies in the later set."""
     return 0 if a == b else -1 if max(set(a) ^ set(b)) in b else 1
-
-
-def ascent_step(g, x):
-    """One multiplicative update of the solver's ascent."""
-    return _ascend(_edge_index(g), g.n, g.r, x[None, :], 1)[0][0]
 
 
 @given(st.integers(1, 5000), st.integers(2, 5))
@@ -112,6 +109,33 @@ def test_left_compressed_iff_difference_links_empty(g):
         for j in range(i + 1, g.n + 1)
     )
     assert is_left_compressed(g) == expected
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs with r = 2..5 (edgeless ones too) and isolated vertices at
+    random labels."""
+    r = draw(st.integers(2, 5))
+    used = draw(st.integers(r, r + 3))
+    n = used + draw(st.integers(0, 2))
+    pool = list(combinations(range(1, used + 1), r))
+    edges = draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    return hypergraph(r, [[label[v] for v in e] for e in edges], n=n)
+
+
+@given(labelled_graphs(), st.sampled_from([1, 16]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_link_identities(g, batch, seed):
+    # d_i(x) is the value of the link of i, and the objective is the edge sum
+    X = np.random.default_rng(seed).dirichlet(np.ones(g.n), size=batch)
+    grad, vals = _batch_grad(_link_matrix(g), g.r, X)
+    for x, d, v in zip(X, grad, vals):
+        links = [link_value(g, link(g, [i]), x) for i in range(1, g.n + 1)]
+        np.testing.assert_allclose(d, links, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(v, evaluate(g, x), rtol=1e-12, atol=0)
+    # the uniform weighting of a complete graph is a first-order optimum
+    assert kkt_residual(complete_graph(g.n, g.r), np.full(g.n, 1 / g.n)) <= 1e-14
 
 
 @given(weighted_graphs())

@@ -19,14 +19,10 @@ from hyperlag import (
     solve,
     sorted_polish,
 )
-from hyperlag.solver import _ascend, _edge_index
+import hyperlag.solver
+from ascent import ascent_step
 
 TRIANGLE = complete_graph(3, 2)
-
-
-def ascent_step(g, x):
-    """One multiplicative update of the solver's ascent."""
-    return _ascend(_edge_index(g), g.n, g.r, np.asarray(x, dtype=float)[None, :], 1)[0][0]
 
 
 class TestEvaluate:
@@ -119,6 +115,36 @@ class TestGrowthStep:
                 v2 = evaluate(g, x)
                 assert v2 >= v - 1e-14
                 v = v2
+
+
+class TestOneKernelCallPerStep:
+    def calls_and_steps(self, monkeypatch, g, X0, max_iterations):
+        kernel = hyperlag.solver._batch_grad
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(hyperlag.solver, "_batch_grad", counted)
+        L = hyperlag.solver._link_matrix(g)
+        iters = hyperlag.solver._ascend(L, g.r, X0, max_iterations)[3]
+        return len(calls), int(iters.max())
+
+    def test_to_the_gain_floor(self, monkeypatch):
+        g = colex_graph(3, 10)
+        X0 = np.random.default_rng(5).dirichlet(np.ones(g.n), size=8)
+        calls, steps = self.calls_and_steps(monkeypatch, g, X0, 50_000)
+        assert steps < 50_000
+        assert calls == steps + 1
+
+    def test_to_the_step_cap(self, monkeypatch):
+        g = colex_graph(3, 10)
+        X0 = np.random.default_rng(5).dirichlet(np.ones(g.n), size=8)
+        assert self.calls_and_steps(monkeypatch, g, X0, 7) == (8, 7)
+
+    def test_no_separate_value_call(self):
+        assert not hasattr(hyperlag.solver, "_batch_value")
 
 
 class TestKKT:
