@@ -2,8 +2,10 @@
 """Run the full default claim battery and write JSON + CSV reports.
 
 Each claim runs at its default desk-scale parameters; reports land in the
-output directory as <claim>__<params>.json / .csv. Exit status is 0 when
-every claim passes, 1 on any fail, 3 on any inconclusive.
+output directory as <claim>__<params>.json / .csv. Per claim the table shows
+the calls of `solve` it made and how many of them the solve memo served,
+from earlier claims of the same run. Exit status is 0 when every claim
+passes, 1 on any fail, 3 on any inconclusive.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from hyperlag import report_to_csv, report_to_json, run_claim
+from hyperlag import report_to_csv, report_to_json, run_claim, solve
 
 BATTERY = [
     ("lemma-2.2", dict(r=3, t=5)),
@@ -50,13 +52,20 @@ def main():
 
     worst = "pass"
     rank = {"pass": 0, "inconclusive": 1, "fail": 2}
-    print(f"{'claim':<16} {'params':<24} {'verdict':<13} {'instances':>9} {'seconds':>8}")
+    print(
+        f"{'claim':<16} {'params':<24} {'verdict':<13} {'instances':>9} {'seconds':>8}"
+        f" {'solves':>7} {'hits':>6}"
+    )
     for claim, params in BATTERY:
         if args.only and args.only not in claim:
             continue
+        before = solve.cache_info()
         t0 = time.perf_counter()
         report = run_claim(claim, **params)
         dt = time.perf_counter() - t0
+        after = solve.cache_info()
+        hits = after.hits - before.hits
+        solves = hits + after.misses - before.misses
         tag = "_".join(f"{k}{v}" for k, v in sorted(params.items()))
         (out / f"{claim}__{tag}.json").write_text(report_to_json(report))
         (out / f"{claim}__{tag}.csv").write_text(report_to_csv(report))
@@ -64,7 +73,7 @@ def main():
             worst = report.verdict
         print(
             f"{claim:<16} {str(params):<24} {report.verdict:<13} "
-            f"{report.instances_checked:>9} {dt:>8.1f}"
+            f"{report.instances_checked:>9} {dt:>8.1f} {solves:>7} {hits:>6}"
         )
     print(f"\noverall: {worst}   (reports in {out}{os.sep})")
     return {"pass": 0, "fail": 1, "inconclusive": 3}[worst]

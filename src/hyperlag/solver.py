@@ -52,6 +52,8 @@ KKT_TOLERANCE = 1e-8
 SUPPORT_THRESHOLD = 1e-9
 #: Most entries (n^r) a graph's link matrix may hold, 8 MB of float64.
 MAX_LINK_ENTRIES = 1_000_000
+#: Most reports `solve` keeps, dropping the least recently used first.
+SOLVE_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,8 @@ class SolveReport:
     pairs_covered: bool
 
 
-@lru_cache(maxsize=4096)
 def _edge_index(g: RUniformHypergraph) -> np.ndarray:
-    idx = np.asarray(g.edges, dtype=np.int64).reshape(g.m, g.r) - 1
-    idx.setflags(write=False)
-    return idx
+    return np.asarray(g.edges, dtype=np.int64).reshape(g.m, g.r) - 1
 
 
 # Enough for one solve (ascent, polish, KKT check) to build its matrix once;
@@ -305,8 +304,16 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     draws, `restarts` trials in total. Each trial runs growth updates to the
     gain floor, gets its support minimized, and is re-polished; the best value
     wins with ties broken toward the earlier trial.
+
+    Reports are memoized on the graph and the config (None meaning
+    `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
+    returns the same frozen report. Errors are not memoized.
     """
-    cfg = config or SolverConfig()
+    return _solve(g, config or SolverConfig())
+
+
+@lru_cache(maxsize=SOLVE_MEMO_SIZE)
+def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     n = g.n
     if g.m == 0:
         uniform = tuple([1.0 / n] * n)
@@ -365,6 +372,10 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
         converged=converged,
         pairs_covered=_pairs_covered(g, support),
     )
+
+
+solve.cache_info = _solve.cache_info
+solve.cache_clear = _solve.cache_clear
 
 
 def complete_lagrangian(t: int, r: int) -> float:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlag import SolverConfig
+from hyperlag import SolverConfig, solve
 from hyperlag.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -65,6 +65,7 @@ def test_solve_json_deterministic(tmp_path, capsys):
     run(capsys, "gen", "complete", "--r", "2", "--t", "4", "-o", str(path))
     code, out1, _ = run(capsys, "solve", str(path), "--format", "json")
     assert code == 0
+    solve.cache_clear()
     code, out2, _ = run(capsys, "solve", str(path), "--format", "json")
     assert out1 == out2
     doc = json.loads(out1)
@@ -129,6 +130,7 @@ def test_verify_pass_exit_0_json(capsys):
 def test_verify_byte_identical_with_same_seed(capsys):
     args = ["verify", "conjecture-2.2", "--t", "5", "--seed", "4"]
     code1, out1, _ = run(capsys, *args)
+    solve.cache_clear()
     code2, out2, _ = run(capsys, *args)
     assert code1 == 0
     assert json.loads(out1)["instances_checked"] > 0

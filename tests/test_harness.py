@@ -19,6 +19,7 @@ from hyperlag import (
     report_to_json,
     report_to_text,
     run_claim,
+    solve,
 )
 from hyperlag.harness import _sweep
 
@@ -248,6 +249,7 @@ class TestDispatch:
 class TestReports:
     def test_json_shape_and_determinism(self):
         rep1 = run_claim("lemma-2.2", t=5, r=3, config=FAST)
+        solve.cache_clear()
         rep2 = run_claim("lemma-2.2", t=5, r=3, config=FAST)
         assert report_to_json(rep1) == report_to_json(rep2)
         doc = json.loads(report_to_json(rep1))

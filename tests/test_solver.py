@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hyperlag import (
+    ResourceLimitError,
     SolverConfig,
     colex_graph,
     complete_graph,
@@ -16,6 +18,9 @@ from hyperlag import (
     link,
     link_value,
     motzkin_straus_value,
+    report_to_csv,
+    report_to_json,
+    run_claim,
     solve,
     sorted_polish,
 )
@@ -117,16 +122,22 @@ class TestGrowthStep:
                 v = v2
 
 
+def counting(monkeypatch, name):
+    """Replace `hyperlag.solver.<name>` by a wrapper; returns its call list."""
+    fn = getattr(hyperlag.solver, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(hyperlag.solver, name, counted)
+    return calls
+
+
 class TestOneKernelCallPerStep:
     def calls_and_steps(self, monkeypatch, g, X0, max_iterations):
-        kernel = hyperlag.solver._batch_grad
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(hyperlag.solver, "_batch_grad", counted)
+        calls = counting(monkeypatch, "_batch_grad")
         L = hyperlag.solver._link_matrix(g)
         iters = hyperlag.solver._ascend(L, g.r, X0, max_iterations)[3]
         return len(calls), int(iters.max())
@@ -145,6 +156,69 @@ class TestOneKernelCallPerStep:
 
     def test_no_separate_value_call(self):
         assert not hasattr(hyperlag.solver, "_batch_value")
+
+
+class TestSolveMemo:
+    CFG = SolverConfig(restarts=4, max_iterations=200)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        solve.cache_clear()
+
+    def test_repeat_is_the_same_report_and_runs_no_kernel(self, monkeypatch):
+        g = colex_graph(3, 10)
+        first = solve(g, self.CFG)
+        calls = counting(monkeypatch, "_batch_grad")
+        assert solve(g, self.CFG) is first
+        assert calls == []
+        assert solve.cache_info().hits == 1
+
+    def test_equal_graphs_and_default_config_share_an_entry(self):
+        g = colex_graph(3, 10)
+        twin = hypergraph(3, reversed(g.edges), n=g.n)
+        assert twin is not g
+        first = solve(g)
+        assert solve(twin) is first
+        assert solve(g, SolverConfig()) is first
+        info = solve.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    def test_any_other_setting_or_vertex_count_misses(self):
+        g = colex_graph(3, 10)
+        base = solve(g, self.CFG)
+        others = [
+            solve(g, replace(self.CFG, seed=1)),
+            solve(g, replace(self.CFG, restarts=5)),
+            solve(g, replace(self.CFG, max_iterations=201)),
+            solve(hypergraph(3, g.edges, n=g.n + 1), self.CFG),
+        ]
+        assert all(rep is not base for rep in others)
+        info = solve.cache_info()
+        assert (info.hits, info.misses) == (0, 5)
+
+    def test_errors_are_not_memoized(self):
+        n = round(hyperlag.solver.MAX_LINK_ENTRIES ** (1 / 3)) + 1
+        g = hypergraph(3, [(1, 2, 3)], n=n)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="MAX_LINK_ENTRIES"):
+                solve(g)
+        assert solve.cache_info().currsize == 0
+
+    def test_overlapping_claims_reuse_solves_exactly(self, monkeypatch):
+        def rendered(reports):
+            return [(report_to_json(rep), report_to_csv(rep)) for rep in reports]
+
+        first = run_claim("corollary-3.1", t=6, m=10)
+        ascents = counting(monkeypatch, "_ascend")
+        second = run_claim("corollary-3.2", t=6, m=10)
+        assert second.instances_checked > 0
+        assert ascents == []
+        monkeypatch.undo()
+        fresh = []
+        for variant in ("3.1", "3.2"):
+            solve.cache_clear()
+            fresh.append(run_claim(f"corollary-{variant}", t=6, m=10))
+        assert rendered([first, second]) == rendered(fresh)
 
 
 class TestKKT:
@@ -190,7 +264,11 @@ class TestSolve:
 
     def test_deterministic(self):
         g = colex_graph(3, 13)
-        assert solve(g) == solve(g)
+        first = solve(g)
+        solve.cache_clear()
+        again = solve(g)
+        assert again is not first
+        assert again == first
 
     def test_seed_changes_raw_trials_not_value(self):
         g = colex_graph(2, 5)
