@@ -223,6 +223,9 @@ _SCOPE_ENUM = (
     "left-compressed graphs only: pass means no left-compressed counterexample"
 )
 _MAX_WITNESSES = 20
+#: Passing margins this close to a group's largest are tied with it, since
+#: an `eq` claim's margins are rounding noise around 0.
+_WITNESS_TIE = 1e-12
 
 
 def _sweep(
@@ -237,8 +240,10 @@ def _sweep(
     """Solve every graph of every group against the reference and fold.
 
     Witnesses are chosen per group: its first 20 instances that do not pass,
-    or, when every instance of the group passes, the one with the largest
-    margin. A sweep with no instances at all is inconclusive, never a pass.
+    or, when every instance of the group passes, the earliest one whose
+    margin is within `_WITNESS_TIE` of the group's largest, so that noise in
+    the last bits of the values does not pick the witness. A sweep with no
+    instances at all is inconclusive, never a pass.
     """
     judge = _RELATIONS[relation]
     t0 = time.perf_counter()
@@ -246,7 +251,7 @@ def _sweep(
     witnesses: list[Witness] = []
     for graphs in groups:
         found: list[Witness] = []
-        tightest: tuple[float, RUniformHypergraph, float] | None = None
+        passed: list[tuple[float, RUniformHypergraph, float]] = []
         for g in graphs:
             rep = solve(g, config)
             margin = rep.value - reference
@@ -259,10 +264,11 @@ def _sweep(
                     found.append(
                         Witness(format_hypergraph(g), rep.value, reference, margin)
                     )
-            elif tightest is None or margin > tightest[0]:
-                tightest = (margin, g, rep.value)
-        if not found and tightest is not None:
-            margin, g, value = tightest
+            elif not found:
+                passed.append((margin, g, rep.value))
+        if not found and passed:
+            top = max(p[0] for p in passed)
+            margin, g, value = next(p for p in passed if p[0] >= top - _WITNESS_TIE)
             found.append(Witness(format_hypergraph(g), value, reference, margin))
         witnesses.extend(found)
     verdicts = {row.verdict for row in rows}

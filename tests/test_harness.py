@@ -1,6 +1,7 @@
 import json
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,9 +9,11 @@ from hyperlag import (
     CLAIMS,
     ResourceLimitError,
     SolverConfig,
+    colex_graph,
     complete_graph,
     complete_lagrangian,
     enumerate_left_compressed,
+    format_hypergraph,
     hypergraph,
     is_left_compressed,
     lc_max_clique_order,
@@ -21,6 +24,7 @@ from hyperlag import (
     run_claim,
     solve,
 )
+from hyperlag import harness
 from hyperlag.harness import _sweep
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
@@ -200,6 +204,23 @@ class TestVerifiers:
 
 
 class TestWitnessIdentity:
+    def test_all_pass_witness_ignores_rounding_noise(self, monkeypatch):
+        # five graphs tied at the reference; only the noise on the values
+        # differs between the runs, so the witness must not
+        graphs = [colex_graph(3, m) for m in range(4, 9)]
+        ref = complete_lagrangian(4, 3)
+        witnesses = []
+        for noise in ([0, 1, -1, 1, 0], [1, -1, 0, -1, 1], [-1, 0, 1, 0, -1]):
+            values = {g: ref + 1e-15 * k for g, k in zip(graphs, noise)}
+            monkeypatch.setattr(
+                harness, "solve", lambda g, cfg: SimpleNamespace(value=values[g], converged=True)
+            )
+            rep = _sweep("synthetic", {}, [graphs], ref, "eq", FAST, scope="")
+            assert rep.verdict == "pass"
+            assert [row.value for row in rep.rows] == [values[g] for g in graphs]
+            witnesses.append([w.hypergraph for w in rep.witnesses])
+        assert witnesses == [[format_hypergraph(graphs[0])]] * 3
+
     def test_theorem_3_1_t6_m10_unique_instance(self):
         # the only qualifying 10-edge graph swaps the top block triple for
         # the first triple through vertex 6
