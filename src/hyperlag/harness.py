@@ -264,7 +264,7 @@ def _sweep(
                     found.append(
                         Witness(format_hypergraph(g), rep.value, reference, margin)
                     )
-            elif not found:
+            else:
                 passed.append((margin, g, rep.value))
         if not found and passed:
             top = max(p[0] for p in passed)
