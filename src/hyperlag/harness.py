@@ -5,13 +5,14 @@ dominance order on r-sets, so enumeration walks ideals of that poset: edges
 are added in increasing colex rank, and a set may be added only once all of
 its direct descendants are present. Each down-set is produced exactly once.
 
-Each claim of the paper is one `ClaimSpec` row of `CLAIMS`, and `run_claim`
-checks any row, emitting a VerificationReport. The solver certifies lower
-bounds only, so strict-inequality claims can be falsified but never fully
-confirmed: a `pass` means no counterexample was found among the enumerated
-left-compressed graphs, `fail` carries a witness, values inside the
-equality tolerance come back `inconclusive`, and so does a check that finds
-no instances at all.
+Each claim of the paper is one `ClaimSpec` row of `CLAIMS`. `run_claim`
+checks any row through one driver, `_sweep`: every instance verdict comes
+from the row's relation, a key of `_RELATIONS`, and the report's scope is
+the row's. The solver certifies lower bounds only, so strict-inequality
+claims can be falsified but never fully confirmed: a `pass` means no
+counterexample was found among the enumerated left-compressed graphs,
+`fail` carries a witness, values inside the equality tolerance come back
+`inconclusive`, and so does a check that finds no instances at all.
 """
 
 from __future__ import annotations
@@ -213,10 +214,22 @@ def _verdict_le(value: float, ref: float, converged: bool) -> str:
     return "pass" if value <= ref + EQUALITY_TOLERANCE else "fail"
 
 
-_RELATIONS: dict[str, Callable[[float, float, bool], str]] = {
+def _verdict_gt(value: Fraction, ref: Fraction, converged: bool) -> str:
+    """Exact: the margin must clear the equality tolerance as a rational."""
+    margin = value - ref
+    if margin > Fraction(EQUALITY_TOLERANCE).limit_denominator(10**15):
+        return "pass"
+    if margin <= 0:
+        return "fail"
+    return "inconclusive"
+
+
+#: Instance verdict from (value, reference, converged); `gt` takes Fractions.
+_RELATIONS: dict[str, Callable[..., str]] = {
     "eq": _verdict_eq,
     "lt": _verdict_lt,
     "le": _verdict_le,
+    "gt": _verdict_gt,
 }
 
 _SCOPE_ENUM = (
@@ -233,19 +246,18 @@ def _sweep(
     parameters: dict,
     groups: Iterable[Iterable[RUniformHypergraph]],
     reference: float,
-    relation: str,
-    config: SolverConfig,
+    measure: Callable[[RUniformHypergraph], tuple[float, str]],
     scope: str,
 ) -> VerificationReport:
-    """Solve every graph of every group against the reference and fold.
+    """Measure every graph of every group against the reference and fold.
 
+    `measure` gives each graph its value and its instance verdict.
     Witnesses are chosen per group: its first 20 instances that do not pass,
     or, when every instance of the group passes, the earliest one whose
     margin is within `_WITNESS_TIE` of the group's largest, so that noise in
     the last bits of the values does not pick the witness. A sweep with no
     instances at all is inconclusive, never a pass.
     """
-    judge = _RELATIONS[relation]
     t0 = time.perf_counter()
     rows: list[InstanceRow] = []
     witnesses: list[Witness] = []
@@ -253,19 +265,16 @@ def _sweep(
         found: list[Witness] = []
         passed: list[tuple[float, RUniformHypergraph, float]] = []
         for g in graphs:
-            rep = solve(g, config)
-            margin = rep.value - reference
-            verdict = judge(rep.value, reference, rep.converged)
+            value, verdict = measure(g)
+            margin = value - reference
             rows.append(
-                InstanceRow(g.m, _edge_hash(g), rep.value, reference, margin, verdict)
+                InstanceRow(g.m, _edge_hash(g), value, reference, margin, verdict)
             )
             if verdict != "pass":
                 if len(found) < _MAX_WITNESSES:
-                    found.append(
-                        Witness(format_hypergraph(g), rep.value, reference, margin)
-                    )
+                    found.append(Witness(format_hypergraph(g), value, reference, margin))
             else:
-                passed.append((margin, g, rep.value))
+                passed.append((margin, g, value))
         if not found and passed:
             top = max(p[0] for p in passed)
             margin, g, value = next(p for p in passed if p[0] >= top - _WITNESS_TIE)
@@ -293,36 +302,11 @@ def _sweep(
     )
 
 
-def _split_weighting(r: int, t: int, m: int) -> VerificationReport:
-    """One edge past the stable range, the split weighting (last two vertices
-    at half weight) strictly beats the complete-graph value. Exact rationals."""
-    t0 = time.perf_counter()
-    g = colex_graph(r, m)
+def _split_weighting(g: RUniformHypergraph, t: int) -> tuple[Fraction, Fraction]:
+    """The split weighting's value on g (the last two of t vertices at half
+    weight) and the complete-graph value on t - 1 vertices, both exact."""
     weights = [Fraction(1, t - 1)] * (t - 2) + [Fraction(1, 2 * (t - 1))] * 2
-    value_exact = evaluate_exact(g, weights)
-    ref_exact = complete_lagrangian_exact(t - 1, r)
-    margin = value_exact - ref_exact
-    tol = Fraction(EQUALITY_TOLERANCE).limit_denominator(10**15)
-    if margin > tol:
-        verdict = "pass"
-    elif margin <= 0:
-        verdict = "fail"
-    else:
-        verdict = "inconclusive"
-    value = float(value_exact)
-    ref = complete_lagrangian(t - 1, r)
-    row = InstanceRow(m, _edge_hash(g), value, ref, value - ref, verdict)
-    witness = Witness(format_hypergraph(g), value, ref, value - ref)
-    return VerificationReport(
-        claim_id="sharpness",
-        parameters={"r": r, "t": t, "m": m},
-        verdict=verdict,
-        instances_checked=1,
-        witnesses=(witness,),
-        runtime_seconds=time.perf_counter() - t0,
-        rows=(row,),
-        scope="explicit weighting, exact arithmetic",
-    )
+    return evaluate_exact(g, weights), complete_lagrangian_exact(t - 1, g.r)
 
 
 def _default_m_values(lo: int, hi: int, r: int, t: int) -> list[int]:
@@ -361,7 +345,7 @@ class ClaimSpec:
     """
 
     description: str
-    relation: str  # "eq", "lt" or "le"; "gt" for the exact split weighting
+    relation: str  # a key of _RELATIONS, which gives each instance its verdict
     m_range: Callable[[int, int], tuple[int, int]]
     r: int = 3  # the uniformity; only a default when r_min is set
     r_min: int | None = None
@@ -417,6 +401,7 @@ CLAIMS: dict[str, ClaimSpec] = {
         lambda t, r: (_stable_range(t, r)[1] + 1,) * 2,
         r_min=2,
         instances="split-weighting",
+        scope="explicit weighting, exact arithmetic",
     ),
     "conjecture-2.1": ClaimSpec(
         "clique-bearing graphs in range attain the complete-graph value",
@@ -562,20 +547,28 @@ def run_claim(
         raise ValueError(
             f"claim {claim_id} solves nothing; drop --restarts, --max-iterations and --seed"
         )
-    cfg = config or HARNESS_SOLVER
-    if spec.instances == "split-weighting":
-        return _split_weighting(r, t, lo)
+    judge = _RELATIONS[spec.relation]
     reference = complete_lagrangian(t - 1, r)
-    if spec.instances == "colex-prefixes":
+    cfg = config or HARNESS_SOLVER
+
+    def measure(g: RUniformHypergraph) -> tuple[float, str]:
+        if spec.instances == "split-weighting":
+            value, exact = _split_weighting(g, t)
+            return float(value), judge(value, exact, True)
+        rep = solve(g, cfg)
+        return rep.value, judge(rep.value, reference, rep.converged)
+
+    if spec.instances == "split-weighting":
+        parameters = {"r": r, "t": t, "m": lo}
+        groups = [[colex_graph(r, lo)]]
+    elif spec.instances == "colex-prefixes":
         parameters = {"r": r, "t": t, "m_min": lo, "m_max": hi}
         groups = [(colex_graph(r, k) for k in range(lo, hi + 1))]
     else:
         ms = [m] if m is not None else _default_m_values(lo, hi, r, t)
         parameters = {"r": r, "t": t, "m_values": ms}
         groups = (_left_compressed_instances(spec, t, r, k, max_graphs) for k in ms)
-    return _sweep(
-        claim_id, parameters, groups, reference, spec.relation, cfg, spec.scope
-    )
+    return _sweep(claim_id, parameters, groups, reference, measure, spec.scope)
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from hyperlag import (
     colex_graph,
     complete_graph,
     complete_lagrangian,
+    complete_lagrangian_exact,
     enumerate_left_compressed,
     format_hypergraph,
     hypergraph,
@@ -25,9 +27,20 @@ from hyperlag import (
     solve,
 )
 from hyperlag import harness
-from hyperlag.harness import _sweep
+from hyperlag.harness import _RELATIONS, _sweep
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
+
+
+def solved(relation, reference, config=FAST):
+    """A measure for `_sweep`: each graph's solved value and its verdict."""
+    judge = _RELATIONS[relation]
+
+    def measure(g):
+        rep = harness.solve(g, config)
+        return rep.value, judge(rep.value, reference, rep.converged)
+
+    return measure
 
 
 def brute_left_compressed_count(r, m, n):
@@ -188,8 +201,7 @@ class TestVerifiers:
             {"t": 0},
             [[complete_graph(4, 3)]],
             0.0,
-            "le",
-            FAST,
+            solved("le", 0.0),
             scope="synthetic",
         )
         assert rep.verdict == "fail"
@@ -199,8 +211,59 @@ class TestVerifiers:
     def test_inconclusive_band(self):
         g = complete_graph(4, 3)
         ref = complete_lagrangian(4, 3)
-        rep = _sweep("synthetic", {}, [[g]], ref, "lt", FAST, scope="")
+        rep = _sweep("synthetic", {}, [[g]], ref, solved("lt", ref), scope="")
         assert rep.verdict == "inconclusive"
+
+
+# float margins around 0.08, either side of the equality tolerance 1e-6
+FLOAT_MARGINS = (2e-6, 5e-7, 0.0, -5e-7, -2e-6)
+FLOAT_VERDICTS = {
+    ("eq", True): ("fail", "pass", "pass", "pass", "inconclusive"),
+    ("eq", False): ("fail",) + ("inconclusive",) * 4,
+    ("lt", True): ("fail", "inconclusive", "inconclusive", "inconclusive", "pass"),
+    ("lt", False): ("fail", "inconclusive", "inconclusive", "inconclusive", "pass"),
+    ("le", True): ("fail", "pass", "pass", "pass", "pass"),
+    ("le", False): ("fail", "pass", "pass", "pass", "pass"),
+}
+# exact margins around the complete 3-graph on 4 vertices, 2/25; the
+# tolerance is exactly 1/10^6
+EXACT_REF = complete_lagrangian_exact(4, 3)
+GT_VERDICTS = {
+    Fraction(-1, 10**9): "fail",
+    Fraction(0): "fail",
+    Fraction(1, 10**7): "inconclusive",
+    Fraction(1, 10**6): "inconclusive",
+    Fraction(2, 10**6): "pass",
+}
+RELATION_CASES = [
+    (relation, margin, converged, verdict)
+    for (relation, converged), verdicts in FLOAT_VERDICTS.items()
+    for margin, verdict in zip(FLOAT_MARGINS, verdicts)
+] + [
+    ("gt", margin, converged, verdict)
+    for margin, verdict in GT_VERDICTS.items()
+    for converged in (True, False)
+]
+
+
+class TestRelations:
+    @pytest.mark.parametrize("relation,margin,converged,verdict", RELATION_CASES, ids=str)
+    def test_verdict(self, relation, margin, converged, verdict):
+        ref = EXACT_REF if relation == "gt" else 0.08
+        assert _RELATIONS[relation](ref + margin, ref, converged) == verdict
+
+    def test_table_covers_every_relation(self):
+        assert {case[0] for case in RELATION_CASES} == set(_RELATIONS)
+
+
+class TestRowsDriveReports:
+    @pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+    def test_report_scope_is_the_rows(self, claim_id):
+        # the smallest t the row accepts; a vacuous sweep prefixes its scope
+        spec = CLAIMS[claim_id]
+        settings = {} if spec.instances == "split-weighting" else {"config": FAST}
+        rep = run_claim(claim_id, t=spec.r + spec.min_t_over_r, **settings)
+        assert rep.scope.endswith(spec.scope)
 
 
 class TestWitnessIdentity:
@@ -215,7 +278,7 @@ class TestWitnessIdentity:
             monkeypatch.setattr(
                 harness, "solve", lambda g, cfg: SimpleNamespace(value=values[g], converged=True)
             )
-            rep = _sweep("synthetic", {}, [graphs], ref, "eq", FAST, scope="")
+            rep = _sweep("synthetic", {}, [graphs], ref, solved("eq", ref), scope="")
             assert rep.verdict == "pass"
             assert [row.value for row in rep.rows] == [values[g] for g in graphs]
             witnesses.append([w.hypergraph for w in rep.witnesses])

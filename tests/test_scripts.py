@@ -1,9 +1,12 @@
 """The scripts under scripts/ still run against the library they import."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from hyperlag import CLAIMS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +41,11 @@ def test_claim_battery_counts_solves_and_memo_hits(tmp_path):
     assert set(counts) == {"corollary-3.1", "corollary-3.2"}
     assert counts["corollary-3.1"][0] > 0
     assert counts["corollary-3.2"][1] > 0
+
+
+def test_every_claim_is_in_the_battery_and_the_goldens():
+    from test_golden_reports import CASES
+
+    battery = runpy.run_path(str(ROOT / "scripts" / "run_claim_battery.py"))["BATTERY"]
+    assert set(CLAIMS) <= {claim for claim, _ in battery}
+    assert set(CLAIMS) <= {claim for claim, _ in CASES}

@@ -48,8 +48,9 @@ class TestEvaluate:
         )
         assert exact == Fraction(41, 500)
 
-    def test_edgeless(self):
-        assert evaluate(hypergraph(2, [], n=4), [0.25] * 4) == 0.0
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_edgeless(self, r):
+        assert evaluate(hypergraph(r, [], n=4), [0.25] * 4) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
