@@ -6,10 +6,9 @@ errors, 3 on an inconclusive verdict. Text output prints 15 significant
 digits; JSON is binary-faithful.
 
 solve and verify take three solver settings: --restarts, --max-iterations
-and --seed; the solver's thresholds are fixed constants. verify's --budget N
-caps the number of graphs enumerated per edge count. A setting the claim does
-not use is refused: --budget for lemma-2.2 and sharpness, and the solver
-settings for sharpness.
+and --seed; the solver's thresholds and every resource limit are fixed
+constants. verify refuses a setting the claim does not use: --m for
+lemma-2.2 and sharpness, and the solver settings for sharpness.
 """
 
 from __future__ import annotations
@@ -140,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--m", type=int, default=None)
     vf.add_argument("--format", choices=["text", "json", "csv"], default="json")
     vf.add_argument("-o", "--output", default=None)
-    vf.add_argument("--budget", default=None, help="at most N graphs per edge count")
     _add_solver_flags(vf)
 
     return ap
@@ -236,15 +234,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        if args.budget is not None and (not args.budget.isdecimal() or int(args.budget) < 1):
-            raise SystemExit(f"bad --budget {args.budget!r}; give an integer N >= 1")
         report = run_claim(
             args.claim,
             t=args.t,
             r=args.r,
             m=args.m,
             config=_solver_config(args, HARNESS_SOLVER),
-            max_graphs=None if args.budget is None else int(args.budget),
         )
         render = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
         _emit(render[args.format](report), args.output)

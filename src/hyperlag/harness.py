@@ -55,6 +55,10 @@ EQUALITY_TOLERANCE = 1e-6
 #: costs about 300 bytes, so the tables stay under about 300 MB.
 MAX_TABLE_SETS = 1_000_000
 
+#: Most graphs `enumerate_left_compressed` yields for one call. A sweep keeps
+#: one `InstanceRow` per graph, so this bounds the rows each edge count adds.
+MAX_GRAPHS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -91,7 +95,6 @@ def enumerate_left_compressed(
     m: int,
     n: int,
     *,
-    max_graphs: int = 1_000_000,
     seed_prefix: int = 0,
     forbidden_ranks: Iterable[int] = (),
 ) -> Iterator[RUniformHypergraph]:
@@ -101,7 +104,7 @@ def enumerate_left_compressed(
     (they always form a down-set); forbidden_ranks excludes specific colex
     ranks, which also excludes all of their ancestors. Raises
     ResourceLimitError when the rank tables would hold more than
-    `MAX_TABLE_SETS` r-sets or more than `max_graphs` graphs come out.
+    `MAX_TABLE_SETS` r-sets or more than `MAX_GRAPHS` graphs come out.
     """
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
@@ -153,9 +156,9 @@ def enumerate_left_compressed(
         nonlocal yielded
         if size == m:
             yielded += 1
-            if yielded > max_graphs:
+            if yielded > MAX_GRAPHS:
                 raise ResourceLimitError(
-                    f"graph budget exceeded: more than {max_graphs} graphs"
+                    f"graph limit exceeded: more than MAX_GRAPHS = {MAX_GRAPHS} graphs"
                 )
             yield hypergraph(r, list(current))
             return
@@ -215,13 +218,8 @@ def _verdict_le(value: float, ref: float, converged: bool) -> str:
 
 
 def _verdict_gt(value: Fraction, ref: Fraction, converged: bool) -> str:
-    """Exact: the margin must clear the equality tolerance as a rational."""
-    margin = value - ref
-    if margin > Fraction(EQUALITY_TOLERANCE).limit_denominator(10**15):
-        return "pass"
-    if margin <= 0:
-        return "fail"
-    return "inconclusive"
+    """Exact: any positive margin is the strict inequality itself."""
+    return "pass" if value > ref else "fail"
 
 
 #: Instance verdict from (value, reference, converged); `gt` takes Fractions.
@@ -484,16 +482,14 @@ CLAIMS: dict[str, ClaimSpec] = {
 
 
 def _left_compressed_instances(
-    spec: ClaimSpec, t: int, r: int, m: int, max_graphs: int | None
+    spec: ClaimSpec, t: int, r: int, m: int
 ) -> Iterator[RUniformHypergraph]:
-    cap = {} if max_graphs is None else {"max_graphs": max_graphs}
     graphs = enumerate_left_compressed(
         r,
         m,
         spec.n_for(t, r, m),
         seed_prefix=spec.seed_prefix(t, r),
         forbidden_ranks=spec.forbidden(t, r),
-        **cap,
     )
     if spec.keep is None:
         return graphs
@@ -506,18 +502,16 @@ def run_claim(
     r: int | None = None,
     m: int | None = None,
     config: SolverConfig | None = None,
-    max_graphs: int | None = None,
 ) -> VerificationReport:
     """Check the claim `claim_id` of `CLAIMS` at clique order t.
 
     Sweeps the claim's default edge counts when m is None. Each edge count m
-    enumerates the claim's graphs with `enumerate_left_compressed`, capped at
-    `max_graphs` graphs when given and at its default cap otherwise.
+    enumerates the claim's graphs with `enumerate_left_compressed`.
     `config` defaults to `HARNESS_SOLVER`. Raises ValueError for an unknown
-    claim, a missing t, a t, r or m the claim's row rules out, a `max_graphs`
-    for a row that enumerates nothing (lemma-2.2, sharpness) and a `config`
-    for a row that solves nothing (sharpness); ResourceLimitError when an
-    edge count needs more than `MAX_TABLE_SETS` r-sets or a cap is exceeded.
+    claim, a missing t, a t, r or m the claim's row rules out and a `config`
+    for a row that solves nothing (sharpness); ResourceLimitError when the
+    default sweep does not cover t, or an edge count needs more than
+    `MAX_TABLE_SETS` r-sets or yields more than `MAX_GRAPHS` graphs.
     """
     spec = CLAIMS.get(claim_id)
     if spec is None:
@@ -541,8 +535,6 @@ def run_claim(
             raise ValueError(f"claim {claim_id} does not take --m")
         if not lo <= m <= hi:
             raise ValueError(f"m = {m} outside claim range [{lo}, {hi}]")
-    if max_graphs is not None and spec.instances != "left-compressed":
-        raise ValueError(f"claim {claim_id} enumerates no graphs; drop --budget")
     if config is not None and spec.instances == "split-weighting":
         raise ValueError(
             f"claim {claim_id} solves nothing; drop --restarts, --max-iterations and --seed"
@@ -567,7 +559,7 @@ def run_claim(
     else:
         ms = [m] if m is not None else _default_m_values(lo, hi, r, t)
         parameters = {"r": r, "t": t, "m_values": ms}
-        groups = (_left_compressed_instances(spec, t, r, k, max_graphs) for k in ms)
+        groups = (_left_compressed_instances(spec, t, r, k) for k in ms)
     return _sweep(claim_id, parameters, groups, reference, measure, spec.scope)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlag import SolverConfig, solve
+from hyperlag import SolverConfig, harness, solve
 from hyperlag.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -190,29 +190,24 @@ def test_verify_no_instances_is_inconclusive(capsys):
     assert doc["scope"].startswith("vacuous: no instances in range")
 
 
-def test_verify_budget_flag(capsys):
-    code, _, err = run(
-        capsys,
-        "verify", "theorem-5.1", "--t", "5", "--budget", "1",
-    )
-    assert code == 2
-    assert "graph budget" in err
+def test_verify_budget_flag(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_GRAPHS", 1)
+    code, out, err = run(capsys, "verify", "theorem-5.1", "--t", "5")
+    assert (code, out) == (2, "")
+    assert "graph limit exceeded: more than MAX_GRAPHS = 1 graphs" in err
 
 
-def test_verify_budget_caps_only_graphs(capsys):
-    argv = ["verify", "theorem-3.1", "--t", "6", "--m", "10"]
-    code, default, _ = run(capsys, *argv)
-    assert code == 0
-    # a graph cap keeps the claim's own vertex and edge limits
-    code, budgeted, err = run(capsys, *argv, "--budget", "100000")
-    assert (code, budgeted, err) == (0, default, "")
+def test_verify_default_sweep_limit_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "conjecture-2.2", "--t", "9")
+    assert (code, out) == (2, "")
+    assert "covers t <= 8 for 3-graphs" in err
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["lemma-2.2", "--r", "3", "--t", "5", "--budget", "1"], "enumerates no graphs"),
-        (["sharpness", "--r", "3", "--t", "6", "--budget", "1"], "enumerates no graphs"),
+        (["sharpness", "--r", "3", "--t", "6", "--m", "17"], "does not take --m"),
+        (["lemma-2.2", "--r", "2", "--t", "4", "--m", "3"], "does not take --m"),
         (["sharpness", "--r", "3", "--t", "6", "--restarts", "5"], "solves nothing"),
         (["sharpness", "--r", "3", "--t", "6", "--max-iterations", "9"], "solves nothing"),
         (["sharpness", "--r", "3", "--t", "6", "--seed", "3"], "solves nothing"),
@@ -223,16 +218,6 @@ def test_verify_refuses_settings_the_claim_ignores(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
-
-
-@pytest.mark.parametrize("spec", ["0", "graphs=0", "vertices=-1", "edges=0", "graphs=x"])
-def test_verify_rejects_bad_budget(capsys, spec):
-    code, out, err = run(
-        capsys, "verify", "theorem-3.1", "--t", "6", "--m", "10", "--budget", spec
-    )
-    assert code == 2
-    assert out == ""
-    assert "bad --budget" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-iterations", "--restarts"])
@@ -284,6 +269,61 @@ def test_solver_flags_match_config_and_readme(capsys):
     assert set(re.findall(r"--[a-z-]+", paragraph)) == {
         "--" + name.replace("_", "-") for name in fields
     }
+
+
+def test_verify_options_are_the_claim_and_solver_settings(capsys):
+    # every resource limit is a module constant, not a per-call setting
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    columns = re.findall(r"^  (-.*?)(?:  |$)", capsys.readouterr().out, flags=re.M)
+    options = {"/".join(re.findall(r"(?:^|, )(--?[a-z-]+)", c)) for c in columns}
+    solver_flags = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(SolverConfig)}
+    claim_flags = {"--t", "--r", "--m", "--format", "-o/--output"}
+    assert options - {"-h/--help"} == claim_flags | solver_flags
+
+
+def test_verify_sharpness_decides_on_the_exact_margin(capsys):
+    # the exact margin at r = 6, t = 10 is about 4.7e-7, below the float
+    # tolerance that the solved claims use
+    code, out, _ = run(capsys, "verify", "sharpness", "--r", "6", "--t", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert 0 < doc["witnesses"][0]["margin"] < 1e-6
+
+
+def test_solve_text_agrees_with_json(tmp_path, capsys):
+    path = tmp_path / "c.hg"
+    run(capsys, "gen", "colex", "--r", "3", "--m", "17", "-o", str(path))
+    code, text, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+    doc = json.loads(out)
+    lines = dict(line.split(" = ", 1) for line in text.splitlines())
+    assert list(lines) == [
+        "value", "converged", "kkt_residual", "support", "weighting",
+        "iterations", "restarts_used", "pairs_covered",
+    ]
+    assert float(lines["value"]) == pytest.approx(doc["value"], rel=1e-14)
+    assert float(lines["kkt_residual"]) == pytest.approx(doc["kkt_residual"], rel=1e-14)
+    assert [float(w) for w in lines["weighting"].split()] == pytest.approx(
+        doc["weighting"], rel=1e-14
+    )
+    assert [int(v) for v in lines["support"].split()] == doc["support"]
+    for key in ("converged", "pairs_covered"):
+        assert lines[key] == str(doc[key]).lower()
+    for key in ("iterations", "restarts_used"):
+        assert int(lines[key]) == doc[key]
+
+
+def test_eval_json(tmp_path, capsys):
+    path = tmp_path / "t.hg"
+    run(capsys, "gen", "complete", "--r", "2", "--t", "3", "-o", str(path))
+    code, out, _ = run(
+        capsys, "eval", str(path), "--weights", "1/3,1/3,1/3", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {"value": pytest.approx(1 / 3, abs=1e-15)}
 
 
 def test_verify_exit_codes_map_verdicts(capsys, monkeypatch):

@@ -27,7 +27,7 @@ from hyperlag import (
     solve,
 )
 from hyperlag import harness
-from hyperlag.harness import _RELATIONS, _sweep
+from hyperlag.harness import _RELATIONS, _default_m_values, _sweep
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
 
@@ -88,12 +88,20 @@ class TestEnumeration:
             assert (3, 4, 5) not in g.edge_set
             assert max_clique_order(g) < 5
 
-    def test_budget_errors(self):
+    def test_budget_errors(self, monkeypatch):
         # The tables would hold C(103, 4) = 4,421,275 r-sets; nothing is built.
         with pytest.raises(ResourceLimitError, match="MAX_TABLE_SETS = 1000000"):
             next(enumerate_left_compressed(4, 3960, 3963, seed_prefix=3876))
-        with pytest.raises(ResourceLimitError, match="graph budget"):
-            list(enumerate_left_compressed(3, 6, 8, max_graphs=2))
+        monkeypatch.setattr(harness, "MAX_GRAPHS", 2)
+        with pytest.raises(ResourceLimitError, match="more than MAX_GRAPHS = 2 graphs"):
+            list(enumerate_left_compressed(3, 6, 8))
+
+    @pytest.mark.parametrize("m,count", [(18, 1), (15, 3)])
+    def test_counts_where_too_few_ranks_remain(self, m, count):
+        # near C(6, 3) = 20 edges the walk stops early on ranks too high
+        # to leave room for the edges still needed
+        assert sum(1 for _ in enumerate_left_compressed(3, m, 6)) == count
+        assert brute_left_compressed_count(3, m, 6) == count
 
     def test_infeasible_m(self):
         with pytest.raises(ValueError):
@@ -225,14 +233,15 @@ FLOAT_VERDICTS = {
     ("le", True): ("fail", "pass", "pass", "pass", "pass"),
     ("le", False): ("fail", "pass", "pass", "pass", "pass"),
 }
-# exact margins around the complete 3-graph on 4 vertices, 2/25; the
-# tolerance is exactly 1/10^6
+# exact margins around the complete 3-graph on 4 vertices, 2/25; any positive
+# margin passes, however far inside the float tolerance
 EXACT_REF = complete_lagrangian_exact(4, 3)
 GT_VERDICTS = {
     Fraction(-1, 10**9): "fail",
     Fraction(0): "fail",
-    Fraction(1, 10**7): "inconclusive",
-    Fraction(1, 10**6): "inconclusive",
+    Fraction(1, 10**30): "pass",
+    Fraction(1, 10**7): "pass",
+    Fraction(1, 10**6): "pass",
     Fraction(2, 10**6): "pass",
 }
 RELATION_CASES = [
@@ -315,6 +324,19 @@ class TestDispatch:
     def test_missing_t(self):
         with pytest.raises(ValueError, match="requires --t"):
             run_claim("lemma-2.2")
+
+    @pytest.mark.parametrize("claim_id", ["conjecture-2.2", "theorem-3.1"])
+    def test_default_sweep_samples_t8(self, claim_id):
+        lo, hi = CLAIMS[claim_id].m_range(8, 3)
+        assert _default_m_values(lo, hi, 3, 8) == [35, 38, 41, 44, 47, 50]
+
+    def test_default_sweep_refuses_t9_before_enumerating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated past the default sweep's limit")
+
+        monkeypatch.setattr(harness, "enumerate_left_compressed", never)
+        with pytest.raises(ResourceLimitError, match="covers t <= 8 for 3-graphs"):
+            run_claim("conjecture-2.2", t=9)
 
     def test_solver_settings_refused_where_nothing_is_solved(self):
         with pytest.raises(ValueError, match="claim sharpness solves nothing"):

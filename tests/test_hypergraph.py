@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from math import comb
 
@@ -16,7 +17,9 @@ from hyperlag import (
     link,
     max_clique_order,
     maximal_cliques,
+    motzkin_straus_value,
     parse_hypergraph,
+    solve,
 )
 from hyperlag.hypergraph import _direct_descendants
 
@@ -203,6 +206,17 @@ class TestCliques:
     def test_maximal_cliques_triangle_plus_pendant(self):
         g = hypergraph(2, [(1, 2), (1, 3), (2, 3), (3, 4)])
         assert maximal_cliques(g) == [(1, 2, 3), (3, 4)]
+
+    def test_maximal_cliques_past_node_budget_fall_back_to_maximum(self, monkeypatch):
+        # `hyperlag.hypergraph` is the constructor, so patch the module itself
+        monkeypatch.setattr(sys.modules["hyperlag.hypergraph"], "CLIQUE_NODE_BUDGET", 5)
+        g = hypergraph(2, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)])
+        assert maximal_cliques(g) == [(1, 2, 3)]
+        solve.cache_clear()
+        try:
+            assert solve(g).value == pytest.approx(motzkin_straus_value(g), abs=1e-12)
+        finally:
+            solve.cache_clear()
 
 
 class TestTextFormat:
