@@ -38,6 +38,15 @@ def colex_rank(a: Iterable[int]) -> int:
     return 1 + sum(comb(v - 1, i + 1) for i, v in enumerate(sa))
 
 
+def _colex_key(a: RSet) -> RSet:
+    """Unchecked colex sort key for r-sets of one size: the reversed tuple.
+
+    The top coordinate where two such sets differ is the largest element of
+    their symmetric difference, so lexicographic order on it is colex order.
+    """
+    return a[::-1]
+
+
 def colex_unrank(rank: int, r: int) -> RSet:
     """Inverse of colex_rank: the r-set at the given 1-based position."""
     if rank < 1:

@@ -22,6 +22,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -29,7 +30,6 @@ from .colex import colex_rank, colex_unrank
 from .errors import ResourceLimitError
 from .hypergraph import (
     RUniformHypergraph,
-    _direct_ancestors,
     _direct_descendants,
     colex_graph,
     format_hypergraph,
@@ -129,15 +129,16 @@ def enumerate_left_compressed(
             f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
         )
 
-    elements = [colex_unrank(k, r) for k in range(1, N + 1)]
+    # Descending tuples in lexicographic order run through colex order backwards.
+    elements = [c[::-1] for c in combinations(range(n_eff, 0, -1), r)][::-1]
     rank_of = {e: k for k, e in enumerate(elements, start=1)}
     dd = [()] + [
         tuple(rank_of[d] for d in _direct_descendants(e)) for e in elements
     ]
-    da = [()] + [
-        tuple(sorted(rank_of[a] for a in _direct_ancestors(e, n_eff)))
-        for e in elements
-    ]
+    da: list[list[int]] = [[] for _ in range(N + 1)]
+    for a in range(1, N + 1):
+        for d in dd[a]:
+            da[d].append(a)
 
     present = bytearray(N + 1)
     current: list[tuple[int, ...]] = []
@@ -160,7 +161,7 @@ def enumerate_left_compressed(
                 raise ResourceLimitError(
                     f"graph limit exceeded: more than MAX_GRAPHS = {MAX_GRAPHS} graphs"
                 )
-            yield hypergraph(r, list(current))
+            yield hypergraph(r, current, current[-1][-1])
             return
         need = m - size
         for i, e in enumerate(addable):

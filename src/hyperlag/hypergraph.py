@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .colex import RSet, colex_rank, rset
+from .colex import RSet, _colex_key, rset
 from .errors import ParseError, ResourceLimitError
 
 CLIQUE_SEARCH_MAX_VERTICES = 20
@@ -43,8 +43,7 @@ class RUniformHypergraph:
             canon.append(s)
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate edges")
-        canon.sort(key=colex_rank)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", tuple(sorted(canon, key=_colex_key)))
 
     @cached_property
     def edge_set(self) -> frozenset[RSet]:
@@ -56,12 +55,14 @@ class RUniformHypergraph:
 
 
 def hypergraph(r: int, edges: Iterable[Iterable[int]], n: int | None = None) -> RUniformHypergraph:
-    """Build a hypergraph from edges; n defaults to the largest vertex used."""
-    canon = [rset(e) for e in edges]
+    """Build a hypergraph from edges; n defaults to the largest vertex used.
+
+    The constructor checks each edge once; inferring n checks them once more.
+    """
     if n is None:
-        n = max((e[-1] for e in canon), default=r)
-        n = max(n, r)
-    return RUniformHypergraph(r, n, tuple(canon))
+        edges = [rset(e) for e in edges]
+        n = max([r, *(e[-1] for e in edges)])
+    return RUniformHypergraph(r, n, tuple(edges))
 
 
 def complete_graph(t: int, r: int) -> RUniformHypergraph:
@@ -119,13 +120,11 @@ def link(
         excluded.add(difference_against)
     size = g.r - len(pins)
     others = [v for v in range(1, g.n + 1) if v not in excluded]
-    pins_sorted = tuple(sorted(pins))
     members = []
     for combo in combinations(others, size):
-        completed = rset(combo + pins_sorted)
-        is_edge = completed in g.edge_set
+        is_edge = tuple(sorted((*combo, *pins))) in g.edge_set
         if difference_against is not None:
-            if is_edge and rset(combo + (difference_against,)) not in g.edge_set:
+            if is_edge and tuple(sorted(combo + (difference_against,))) not in g.edge_set:
                 members.append(combo)
         elif is_edge != complemented:
             members.append(combo)
@@ -160,16 +159,6 @@ def _direct_descendants(a: RSet) -> list[RSet]:
     return out
 
 
-def _direct_ancestors(a: RSet, max_vertex: int) -> list[RSet]:
-    out = []
-    r = len(a)
-    for s in range(r):
-        v = a[s] + 1
-        if v <= max_vertex and (s == r - 1 or v < a[s + 1]):
-            out.append(a[:s] + (v,) + a[s + 1 :])
-    return out
-
-
 def is_left_compressed(g: RUniformHypergraph) -> bool:
     """True iff every descendant of every edge is an edge.
 
@@ -193,11 +182,11 @@ def left_compress(g: RUniformHypergraph) -> RUniformHypergraph:
     edges = set(g.edges)
     while True:
         offender = None
-        for e in sorted(edges, key=colex_rank, reverse=True):
+        for e in sorted(edges, key=_colex_key, reverse=True):
             missing = [d for d in descendants(e) if d not in edges]
             if missing:
                 offender = e
-                replacement = min(missing, key=colex_rank)
+                replacement = min(missing, key=_colex_key)
                 break
         if offender is None:
             break
@@ -210,7 +199,7 @@ def _extends_clique(g: RUniformHypergraph, clique: tuple[int, ...], v: int) -> b
     if len(clique) < g.r - 1:
         return True
     return all(
-        rset(sub + (v,)) in g.edge_set for sub in combinations(clique, g.r - 1)
+        tuple(sorted(sub + (v,))) in g.edge_set for sub in combinations(clique, g.r - 1)
     )
 
 

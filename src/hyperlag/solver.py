@@ -321,6 +321,7 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
 @lru_cache(maxsize=SOLVE_MEMO_SIZE)
 def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     n = g.n
+    L = _link_matrix(g)  # first, so that the entry limit holds for edgeless graphs too
     if g.m == 0:
         uniform = tuple([1.0 / n] * n)
         return SolveReport(
@@ -335,7 +336,6 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
             pairs_covered=(n == 1),
         )
 
-    L = _link_matrix(g)
     X0 = _starts(g, cfg)
     X1, _, _, it1 = _ascend(L, g.r, X0, cfg.max_iterations)
 

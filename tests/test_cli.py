@@ -73,6 +73,29 @@ def test_solve_json_deterministic(tmp_path, capsys):
     assert doc["converged"] is True
 
 
+def test_solve_edgeless(tmp_path, capsys):
+    path = tmp_path / "e.hg"
+    path.write_text("3 7 0\n")
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+    assert code == 0
+    uniform = [1 / 7] * 7
+    assert json.loads(out) == {
+        "converged": True,
+        "iterations": 0,
+        "kkt_residual": 0.0,
+        "pairs_covered": False,
+        "raw_weighting": uniform,
+        "restarts_used": 1,
+        "support": [1, 2, 3, 4, 5, 6, 7],
+        "value": 0.0,
+        "weighting": uniform,
+    }
+    path.write_text("3 200 0\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert "MAX_LINK_ENTRIES" in err
+
+
 def test_compress_moves_edge_down(tmp_path, capsys):
     path = tmp_path / "g.hg"
     path.write_text("3 4 1\n1 2 4\n")

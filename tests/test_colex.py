@@ -1,8 +1,10 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from hyperlag import colex_rank, colex_unrank, rset
+from hyperlag.colex import _colex_key
 
 # First 21 triples of the order, written out by hand as the ground truth.
 TRIPLE_ORDER = [
@@ -46,6 +48,14 @@ def test_unrank_examples():
 def test_rank_unrank_bijection_exhaustive(r):
     for k in range(1, comb(12, r) + 1):
         assert colex_rank(colex_unrank(k, r)) == k
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_reversed_tuple_key_sorts_as_rank(r):
+    sets = list(combinations(range(1, 11), r))
+    by_rank = sorted(sets, key=colex_rank)
+    assert sorted(sets, key=_colex_key) == by_rank
+    assert by_rank == [colex_unrank(k, r) for k in range(1, comb(10, r) + 1)]
 
 
 def test_rset_validation():

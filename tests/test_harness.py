@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hyperlag import (
     ResourceLimitError,
     SolverConfig,
     colex_graph,
+    colex_rank,
     complete_graph,
     complete_lagrangian,
     complete_lagrangian_exact,
@@ -43,16 +45,39 @@ def solved(relation, reference, config=FAST):
     return measure
 
 
-def brute_left_compressed_count(r, m, n):
+def brute_left_compressed(r, m, n):
+    """(colex ranks, graph) for every down-set of m r-sets of [n], ordered by
+    the ranks; each graph is built with n inferred, as the enumeration does."""
     pool = list(combinations(range(1, n + 1), r))
-    count = 0
-    for sub in combinations(pool, m):
-        if is_left_compressed(hypergraph(r, sub, n=n)):
-            count += 1
-    return count
+    found = [
+        (sorted(colex_rank(e) for e in sub), hypergraph(r, sub))
+        for sub in combinations(pool, m)
+        if is_left_compressed(hypergraph(r, sub, n=n))
+    ]
+    return sorted(found, key=lambda pair: pair[0])
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)])
+    def test_sequence_matches_brute_force(self, r, n):
+        for m in range(1, min(6, comb(n, r)) + 1):
+            brute = brute_left_compressed(r, m, n)
+            for seed, forbidden in [(0, ()), (0, (3,)), (m // 2, ()), (1, (m + 1, 4))]:
+                if any(f <= seed for f in forbidden):
+                    continue
+                expected = [
+                    g for ranks, g in brute
+                    if set(range(1, seed + 1)) <= set(ranks)
+                    and not set(forbidden) & set(ranks)
+                ]
+                mine = list(
+                    enumerate_left_compressed(
+                        r, m, n, seed_prefix=seed, forbidden_ranks=forbidden
+                    )
+                )
+                assert mine == expected, (r, n, m, seed, forbidden)
+                assert [hash(g) for g in mine] == [hash(g) for g in expected]
+
     def test_unique_minimal_ideals(self):
         assert [g.edges for g in enumerate_left_compressed(3, 1, 4)] == [((1, 2, 3),)]
         assert [g.edges for g in enumerate_left_compressed(3, 2, 4)] == [
@@ -62,13 +87,13 @@ class TestEnumeration:
     def test_size_four_on_five_vertices(self):
         graphs = list(enumerate_left_compressed(3, 4, 5))
         assert len(graphs) == 2
-        assert len(graphs) == brute_left_compressed_count(3, 4, 5)
+        assert len(graphs) == len(brute_left_compressed(3, 4, 5))
 
     @pytest.mark.parametrize("r", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_counts_match_brute_force(self, r, m):
         mine = sum(1 for _ in enumerate_left_compressed(r, m, 5))
-        assert mine == brute_left_compressed_count(r, m, 5)
+        assert mine == len(brute_left_compressed(r, m, 5))
 
     def test_yields_are_left_compressed_with_m_edges(self):
         for g in enumerate_left_compressed(3, 6, 8):
@@ -101,7 +126,7 @@ class TestEnumeration:
         # near C(6, 3) = 20 edges the walk stops early on ranks too high
         # to leave room for the edges still needed
         assert sum(1 for _ in enumerate_left_compressed(3, m, 6)) == count
-        assert brute_left_compressed_count(3, m, 6) == count
+        assert len(brute_left_compressed(3, m, 6)) == count
 
     def test_infeasible_m(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,14 @@ from math import comb
 
 import pytest
 
+import hyperlag.colex
 from hyperlag import (
     ParseError,
     ResourceLimitError,
     colex_graph,
     complete_graph,
     descendants,
+    enumerate_left_compressed,
     format_hypergraph,
     hypergraph,
     is_left_compressed,
@@ -82,6 +84,56 @@ class TestConstructors:
     def test_edge_beyond_n_rejected(self):
         with pytest.raises(ValueError):
             hypergraph(2, [(1, 5)], n=4)
+
+
+class TestOneCheckPerEdge:
+    """Each edge passes through `rset` once per graph built, inferring n aside."""
+
+    @pytest.fixture
+    def rset_calls(self, monkeypatch):
+        calls = []
+        # `hyperlag.hypergraph` is the function; the module is in sys.modules
+        for module in (sys.modules["hyperlag.hypergraph"], hyperlag.colex):
+            original = module.rset
+
+            def counted(elements, original=original):
+                calls.append(elements)
+                return original(elements)
+
+            monkeypatch.setattr(module, "rset", counted)
+        return calls
+
+    def test_enumeration(self, rset_calls):
+        graphs = 0
+        for g in enumerate_left_compressed(3, 10, 8):
+            assert len(rset_calls) == g.m
+            rset_calls.clear()
+            graphs += 1
+        assert graphs > 1
+
+    def test_given_and_inferred_n(self, rset_calls):
+        edges = [(2, 3, 4), (1, 2, 3), (1, 2, 5)]
+        assert hypergraph(3, edges, n=6).edges == ((1, 2, 3), (2, 3, 4), (1, 2, 5))
+        assert len(rset_calls) == 3
+        rset_calls.clear()
+        assert hypergraph(3, edges).n == 5
+        assert len(rset_calls) == 6
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 2)],
+            [(1, 1, 2)],
+            [(1, 2)],
+            [(1, 2, 7)],
+            [(1, 2, 3), (3, 2, 1)],
+            [(1, 2, 3.0)],
+        ],
+        ids=["label-0", "repeated-label", "wrong-size", "above-n", "duplicate", "non-int"],
+    )
+    def test_given_n_still_checks(self, edges):
+        with pytest.raises(ValueError):
+            hypergraph(3, edges, n=6)
 
 
 class TestLinks:

@@ -253,6 +253,11 @@ class TestSolve:
         assert rep.value == 0.0
         assert rep.converged
 
+    def test_edgeless_past_entry_limit_refused(self):
+        # 200^3 = 8e6 link entries: refused before two 200-entry weightings
+        with pytest.raises(ResourceLimitError, match="MAX_LINK_ENTRIES"):
+            solve(hypergraph(3, [], n=200))
+
     def test_report_consistency(self):
         g = colex_graph(3, 12)
         rep = solve(g)
