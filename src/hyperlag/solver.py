@@ -21,6 +21,13 @@ matrix gives every link value, and the objective is x . d / r.
 First-order optimality at a weighting with minimal support means every
 supported vertex sees the same link value, equal to r times the objective,
 and no unsupported vertex sees more; `kkt_residual` measures the deviation.
+
+Growth steps converge only like 1/k toward an optimum on a degenerate face,
+where a vertex's weight shrinks while its link value ties r times the
+objective (a clique plus extra edges through one of its vertices). So every
+row takes `GROWTH_STEPS` growth steps, and a row still moving then gets
+Newton's method on the KKT equations of its face (`_face_newton`). A row
+Newton finishes is done; any other row goes on with growth steps.
 """
 
 from __future__ import annotations
@@ -47,7 +54,11 @@ SIMPLEX_TOLERANCE = 1e-12
 #: A trial stops once one growth step gains less than this.
 STEP_GAIN_FLOOR = 1e-14
 #: A solve is converged when its KKT residual is at most this.
-KKT_TOLERANCE = 1e-8
+KKT_TOLERANCE = 1e-12
+#: Growth steps every row takes before its face-Newton solve.
+GROWTH_STEPS = 200
+#: A row's face: the weights above this fraction of its largest weight.
+FACE_RATIO = 1e-4
 #: Weights at or below this are off the support.
 SUPPORT_THRESHOLD = 1e-9
 #: Most entries (n^r) a graph's link matrix may hold, 8 MB of float64.
@@ -83,9 +94,11 @@ class SolveReport:
 
     `weighting` is the support-minimized (and, for left-compressed inputs,
     sorted) optimum; `raw_weighting` is the same trial before support
-    minimization. `pairs_covered` records whether every pair of supported
-    vertices lies in a common edge, a necessary condition at minimal-support
-    optima.
+    minimization. `converged` means a KKT residual of at most
+    `KKT_TOLERANCE`. `iterations` counts the winning trial's growth steps;
+    Newton iterations are not counted. `pairs_covered` records whether
+    every pair of supported vertices lies in a common edge, a necessary
+    condition at minimal-support optima.
     """
 
     value: float
@@ -283,6 +296,65 @@ def sorted_polish(
     return arr
 
 
+def _face_newton(L: np.ndarray, r: int, x0: np.ndarray) -> np.ndarray | None:
+    """A KKT point on the face of `x0`, by Newton's method, or None.
+
+    Solves d_F(x) = mu, sum(x_F) = 1 on the face F (the weights above
+    `FACE_RATIO` of the largest), whose Jacobian in x_F is the pair-link
+    matrix H = (r-1) L x^(r-2). The face shrinks when a step drives a weight
+    to zero or below (the weight that fell most, as a ratio, goes; Newton
+    restarts from x0 on the smaller face), when the system is singular (the
+    smallest weight goes) and when a converged weight is below the face
+    ratio. The point is accepted only if its KKT residual is at most
+    `KKT_TOLERANCE` and its value is at least x0's, less 1e-15.
+    """
+    n = x0.size
+    face = np.flatnonzero(x0 > FACE_RATIO * x0.max())
+    while face.size:
+        k = face.size
+        x = np.zeros(n)
+        y = x0[face] / x0[face].sum()
+        K = np.zeros((k + 1, k + 1))
+        K[:k, k], K[k, :k] = -1.0, 1.0
+        res = np.empty(k + 1)
+        mu = None
+        for _ in range(40):
+            x[face] = y
+            M = L.reshape(n, -1)
+            for _ in range(r - 2):
+                M = (x @ M).reshape(n, -1)
+            MF = M[face]
+            d = MF @ x
+            mu = float(y @ d) if mu is None else mu
+            res[:k], res[k] = d - mu, y.sum() - 1.0
+            if np.abs(res).max() <= 1e-15:
+                drop = np.flatnonzero(y < FACE_RATIO * y.max())
+                break
+            K[:k, :k] = (r - 1) * MF[:, face]
+            try:
+                step = np.linalg.solve(K, -res)
+            except np.linalg.LinAlgError:
+                drop = np.argmin(y)
+                break
+            new = y + step[:k]
+            if new.min() <= 0.0:
+                drop = np.argmin(new / y)
+                break
+            y, mu = new, mu + step[k]
+        else:
+            return None
+        if not np.size(drop):
+            break
+        face = np.delete(face, drop)
+    else:
+        return None
+    x /= x.sum()
+    grad, val = _batch_grad(L, r, np.stack([x0, x]))
+    if _kkt_rows(x[None, :], grad[1:], val[1:], r)[0] > KKT_TOLERANCE:
+        return None
+    return x if val[1] >= val[0] - 1e-15 else None
+
+
 def _pairs_covered(g: RUniformHypergraph, support: Sequence[int]) -> bool:
     pairs = {p for e in g.edges for p in combinations(e, 2)}
     return all(p in pairs for p in combinations(sorted(support), 2))
@@ -307,9 +379,13 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
 
     Trial list: the uniform weighting, then a uniform weighting on each
     maximal clique (when n <= CLIQUE_SEARCH_MAX_VERTICES), then seeded flat-Dirichlet
-    draws, `restarts` trials in total. Each trial runs growth updates to the
-    gain floor, gets its support minimized, and is re-polished; the best value
-    wins with ties broken toward the earlier trial.
+    draws, `restarts` trials in total. Each trial takes `GROWTH_STEPS`
+    growth steps. A trial still moving then gets a Newton solve on its face;
+    if Newton's KKT point is accepted, the trial is done. Every other trial
+    runs growth updates to the gain floor or `max_iterations`, then gets its
+    support minimized and ascends again. The best value wins, with ties
+    broken toward the earlier trial. If the winner's KKT residual is above
+    `KKT_TOLERANCE`, it gets one more Newton solve before the sorted polish.
 
     Reports are memoized on the graph and the config (None meaning
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
@@ -337,11 +413,34 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
         )
 
     X0 = _starts(g, cfg)
-    X1, _, _, it1 = _ascend(L, g.r, X0, cfg.max_iterations)
+    steps = min(GROWTH_STEPS, cfg.max_iterations)
+    X1, _, _, it1 = _ascend(L, g.r, X0, steps)
 
-    Xm = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
-    Xm /= Xm.sum(axis=1, keepdims=True)
-    X2, v2, grad, it2 = _ascend(L, g.r, Xm, cfg.max_iterations)
+    # rows still moving get a face-Newton solve; an accepted row is done
+    moving = np.flatnonzero(it1 == steps)
+    done = np.zeros(X1.shape[0], dtype=bool)
+    for i in moving:
+        y = _face_newton(L, g.r, X1[i])
+        if y is not None:
+            X1[i], done[i] = y, True
+    rejected = moving[~done[moving]]
+    if rejected.size:
+        X1[rejected], _, _, more = _ascend(
+            L, g.r, X1[rejected], cfg.max_iterations - steps
+        )
+        it1[rejected] += more
+
+    # support minimization: the rows Newton did not finish ascend again
+    X2 = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
+    X2 /= X2.sum(axis=1, keepdims=True)
+    grad, v2, it2 = np.empty_like(X2), np.empty(len(X2)), np.zeros_like(it1)
+    left = ~done
+    if done.any():  # the kernel takes no empty batch at r >= 4
+        grad[done], v2[done] = _batch_grad(L, g.r, X2[done])
+    if left.any():
+        X2[left], v2[left], grad[left], it2[left] = _ascend(
+            L, g.r, X2[left], cfg.max_iterations
+        )
     kkt = _kkt_rows(X2, grad, v2, g.r)
 
     best = int(np.argmax(v2))
@@ -349,6 +448,13 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     best_val = float(v2[best])
     best_kkt = float(kkt[best])
     iterations = int(it1[best] + it2[best])
+
+    if best_kkt > KKT_TOLERANCE:
+        y = _face_newton(L, g.r, best_x)
+        if y is not None:
+            gy, vy = _batch_grad(L, g.r, y[None, :])
+            best_x, best_val = y, float(vy[0])
+            best_kkt = float(_kkt_rows(y[None, :], gy, vy, g.r)[0])
 
     if is_left_compressed(g):
         # descending reassignment never lowers the value for this class, and

@@ -30,6 +30,7 @@ from hyperlag import (
     run_claim,
     solve,
 )
+from hyperlag.solver import KKT_TOLERANCE
 from ascent import ascent_step
 
 FAST = SolverConfig(restarts=8, max_iterations=2000)
@@ -243,7 +244,7 @@ def test_criterion_8_property_suites():
         problems.append(f"left_compress: {compress_bad}")
 
     # KKT residual at every converged report seen in this module
-    loose = [r for r in REPORTS if r.converged and r.kkt_residual > 1e-8]
+    loose = [r for r in REPORTS if r.converged and r.kkt_residual > KKT_TOLERANCE]
     if loose:
         problems.append(f"converged reports with loose KKT: {len(loose)}")
 

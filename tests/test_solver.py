@@ -1,10 +1,12 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from hyperlag import (
+    CLAIMS,
     ResourceLimitError,
     SolverConfig,
     colex_graph,
@@ -25,6 +27,12 @@ from hyperlag import (
     sorted_polish,
 )
 import hyperlag.solver
+from hyperlag.harness import (
+    HARNESS_SOLVER,
+    _edge_hash,
+    _left_compressed_instances,
+    _verdict_eq,
+)
 from ascent import ascent_step
 
 TRIANGLE = complete_graph(3, 2)
@@ -241,6 +249,93 @@ class TestKKT:
         assert res == pytest.approx(0.5, abs=1e-15)
 
 
+class TestFaceNewton:
+    # K4^3 plus six edges through vertex 1: the optimum is the clique's 1/16,
+    # and vertices 5 and 6 (twins) see link value 3/16, tying 3 * 1/16
+    DENSE = hypergraph(3, [
+        (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5),
+        (1, 3, 5), (1, 4, 5), (1, 2, 6), (1, 3, 6), (1, 4, 6),
+    ])
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        solve.cache_clear()
+
+    def growth_steps(self, monkeypatch):
+        """Wrap `_ascend`; returns a list that collects each call's step total."""
+        ascend = hyperlag.solver._ascend
+        steps = []
+
+        def counted(*args):
+            out = ascend(*args)
+            steps.append(int(out[3].sum()))
+            return out
+
+        monkeypatch.setattr(hyperlag.solver, "_ascend", counted)
+        return steps
+
+    def test_no_row_runs_to_the_cap(self, monkeypatch):
+        steps = self.growth_steps(monkeypatch)
+        rep = solve(self.DENSE, HARNESS_SOLVER)
+        assert rep.value == 0.0625
+        assert rep.support == (1, 2, 3, 4)
+        assert rep.kkt_residual <= hyperlag.solver.KKT_TOLERANCE
+        assert rep.converged
+        # with growth steps only, 9 of the 16 rows run to the 5,000-step cap in
+        # both ascents, over 90,000 steps in all
+        assert sum(steps) < 10_000
+
+    def test_rejected_rows_fall_back_to_growth(self, monkeypatch):
+        monkeypatch.setattr(hyperlag.solver, "_face_newton", lambda L, r, x: None)
+        steps = self.growth_steps(monkeypatch)
+        rep = solve(self.DENSE, HARNESS_SOLVER)
+        # the tail rows run on to the step cap; the K4 clique start still wins
+        assert sum(steps) > 10 * HARNESS_SOLVER.max_iterations
+        assert rep.value == 0.0625
+
+    def test_off_face_check_rejects_a_triangle(self):
+        # on face {1, 2, 5} the KKT point is the start itself, but vertex 3
+        # sees x1 x2 + x1 x5 = 2/9, above 3 * 1/27
+        L = hyperlag.solver._link_matrix(self.DENSE)
+        x = np.array([1, 1, 0, 0, 1, 0]) / 3
+        assert hyperlag.solver._face_newton(L, 3, x) is None
+
+    def test_uniform_row_reaches_the_clique_through_face_drops(self):
+        L = hyperlag.solver._link_matrix(self.DENSE)
+        uniform = np.full((1, 6), 1 / 6)
+        x = hyperlag.solver._ascend(L, 3, uniform, hyperlag.solver.GROWTH_STEPS)[0][0]
+        # all six weights are on the starting face; the twins make it singular
+        assert x.min() > hyperlag.solver.FACE_RATIO * x.max()
+        y = hyperlag.solver._face_newton(L, 3, x)
+        assert np.flatnonzero(y).tolist() == [0, 1, 2, 3]
+        assert np.allclose(y, [0.25] * 4 + [0.0] * 2, rtol=0, atol=1e-15)
+
+    def test_r4_solve_whose_every_row_newton_finishes(self):
+        # K5^4 plus four edges through 1 and 6: vertex 6 sees 4/125, tying
+        # 4 * 1/125, so the one row is still moving after the growth steps
+        edges = list(combinations(range(1, 6), 4))
+        edges += [(1, 2, 3, 6), (1, 2, 4, 6), (1, 3, 4, 6), (1, 2, 5, 6)]
+        rep = solve(hypergraph(4, edges), SolverConfig(restarts=1))
+        assert rep.iterations == hyperlag.solver.GROWTH_STEPS
+        assert rep.value == pytest.approx(1 / 125, abs=1e-15)
+        assert rep.support == (1, 2, 3, 4, 5)
+        assert rep.converged
+
+    def test_theorem_4_3_edge_case_converges_and_passes(self):
+        # the graph of `verify theorem-4.3 --t 12 --m 340` whose value sits
+        # 1.2e-15 below the reference, so its pass rests on `converged`
+        spec = CLAIMS["theorem-4.3"]
+        (g,) = (
+            g for g in _left_compressed_instances(spec, 12, 4, 340)
+            if _edge_hash(g) == "6edecbd35264"
+        )
+        rep = solve(g, HARNESS_SOLVER)
+        assert rep.converged
+        assert rep.kkt_residual <= hyperlag.solver.KKT_TOLERANCE
+        ref = complete_lagrangian(11, 4)
+        assert _verdict_eq(rep.value, ref, rep.converged) == "pass"
+
+
 class TestSolve:
     def test_complete_2_graph(self):
         assert solve(complete_graph(4, 2)).value == pytest.approx(0.375, abs=1e-9)
@@ -263,7 +358,7 @@ class TestSolve:
         rep = solve(g)
         assert rep.value == pytest.approx(evaluate(g, rep.weighting), abs=1e-12)
         assert rep.converged
-        assert rep.kkt_residual <= 1e-8
+        assert rep.kkt_residual <= hyperlag.solver.KKT_TOLERANCE
         assert all(rep.weighting[i - 1] > 1e-9 for i in rep.support)
         assert rep.pairs_covered
         assert rep.restarts_used == SolverConfig().restarts
