@@ -5,9 +5,9 @@ Subcommands: gen, solve, eval, compress, clique, link, verify. Exit status is
 errors, 3 on an inconclusive verdict. Text output prints 15 significant
 digits; JSON is binary-faithful.
 
-solve and verify take three solver settings: --restarts, --max-iterations
-and --seed; the solver's thresholds and every resource limit are fixed
-constants. verify refuses a setting the claim does not use: --m for
+solve and verify take one flag per field of SolverConfig: --restarts and
+--seed; the solver's thresholds, its step cap and every resource limit are
+fixed constants. verify refuses a setting the claim does not use: --m for
 lemma-2.2 and sharpness, and the solver settings for sharpness.
 """
 
@@ -46,20 +46,18 @@ EXIT_INCONCLUSIVE = 3
 _VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
 
+_SOLVER_FIELDS = [f.name for f in dataclasses.fields(SolverConfig)]
+
+
 def _add_solver_flags(p: argparse.ArgumentParser):
     group = p.add_argument_group("solver settings")
-    group.add_argument("--restarts", type=int, default=None)
-    group.add_argument("--max-iterations", type=int, default=None)
-    group.add_argument("--seed", type=int, default=None)
+    for name in _SOLVER_FIELDS:
+        group.add_argument("--" + name.replace("_", "-"), type=int, default=None)
 
 
 def _solver_config(args, base: SolverConfig) -> SolverConfig | None:
     """`base` with the solver flags given, or None when none is given."""
-    overrides = {
-        f: getattr(args, f)
-        for f in ("restarts", "max_iterations", "seed")
-        if getattr(args, f) is not None
-    }
+    overrides = {f: getattr(args, f) for f in _SOLVER_FIELDS if getattr(args, f) is not None}
     return dataclasses.replace(base, **overrides) if overrides else None
 
 

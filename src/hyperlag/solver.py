@@ -27,7 +27,8 @@ where a vertex's weight shrinks while its link value ties r times the
 objective (a clique plus extra edges through one of its vertices). So every
 row takes `GROWTH_STEPS` growth steps, and a row still moving then gets
 Newton's method on the KKT equations of its face (`_face_newton`). A row
-Newton finishes is done; any other row goes on with growth steps.
+Newton finishes is done; any other row goes on with growth steps, at most
+`MAX_GROWTH_STEPS` in all.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ STEP_GAIN_FLOOR = 1e-14
 KKT_TOLERANCE = 1e-12
 #: Growth steps every row takes before its face-Newton solve.
 GROWTH_STEPS = 200
+#: Most growth steps one row takes per ascent. A safety stop: only a row that
+#: Newton rejects runs past `GROWTH_STEPS`, and no claim check reaches it.
+MAX_GROWTH_STEPS = 50_000
 #: A row's face: the weights above this fraction of its largest weight.
 FACE_RATIO = 1e-4
 #: Weights at or below this are off the support.
@@ -69,21 +73,18 @@ SOLVE_MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multistart size, per-trial step cap and seed of the Dirichlet starts.
+    """Multistart size and seed of the Dirichlet starts.
 
     Clique starts run, and 2-graphs are checked against Motzkin-Straus, on
     graphs with at most `CLIQUE_SEARCH_MAX_VERTICES` vertices.
     """
 
     restarts: int = 64
-    max_iterations: int = 50_000
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -207,8 +208,8 @@ def _batch_grad(L: np.ndarray, r: int, X: np.ndarray) -> tuple[np.ndarray, np.nd
     B, n = X.shape
     d = max(1, r - 2)
     P = X
-    for _ in range(d - 1):
-        P = (P[:, :, None] * X[:, None, :]).reshape(B, -1)
+    for k in range(2, d + 1):
+        P = (P[:, :, None] * X[:, None, :]).reshape(B, n**k)
     grad = P @ L.reshape(n**d, -1)
     if d < r - 1:
         grad = np.einsum("bk,bkv->bv", X, grad.reshape(B, n, n))
@@ -216,7 +217,7 @@ def _batch_grad(L: np.ndarray, r: int, X: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _ascend(
-    L: np.ndarray, r: int, X0: np.ndarray, max_iterations: int
+    L: np.ndarray, r: int, X0: np.ndarray, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run growth updates on each row until its gain drops below the floor.
 
@@ -230,7 +231,7 @@ def _ascend(
     rows = np.flatnonzero(vals > 0.0)
     Xa, ga, va = X[rows], grad[rows], vals[rows]
     step = 0
-    while rows.size and step < max_iterations:
+    while rows.size and step < max_steps:
         step += 1
         Xa = Xa * ga
         Xa /= Xa.sum(axis=1, keepdims=True)
@@ -267,9 +268,7 @@ def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.n
     return sup + np.maximum(off, 0.0)
 
 
-def sorted_polish(
-    g: RUniformHypergraph, x: Sequence[float], config: SolverConfig | None = None
-) -> np.ndarray:
+def sorted_polish(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
     """Reassign weights in non-increasing label order, then re-converge.
 
     For a left-compressed graph the descending reassignment never decreases
@@ -284,13 +283,12 @@ def sorted_polish(
     leave the order (289 of 300 random ones on at most 8 vertices needed
     more), so the loop stays.
     """
-    cfg = config or SolverConfig()
     arr = _as_weights(g, x)
     _check_feasible(arr)
     L = _link_matrix(g)
     for _ in range(16):
         arr = np.sort(arr)[::-1].copy()
-        arr = _ascend(L, g.r, arr[None, :], cfg.max_iterations)[0][0]
+        arr = _ascend(L, g.r, arr[None, :], MAX_GROWTH_STEPS)[0][0]
         if np.all(arr[:-1] >= arr[1:] - 1e-12):
             break
     return arr
@@ -382,7 +380,7 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     draws, `restarts` trials in total. Each trial takes `GROWTH_STEPS`
     growth steps. A trial still moving then gets a Newton solve on its face;
     if Newton's KKT point is accepted, the trial is done. Every other trial
-    runs growth updates to the gain floor or `max_iterations`, then gets its
+    runs growth updates to the gain floor or `MAX_GROWTH_STEPS`, then gets its
     support minimized and ascends again. The best value wins, with ties
     broken toward the earlier trial. If the winner's KKT residual is above
     `KKT_TOLERANCE`, it gets one more Newton solve before the sorted polish.
@@ -409,38 +407,34 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
             iterations=0,
             restarts_used=1,
             converged=True,
-            pairs_covered=(n == 1),
+            pairs_covered=False,
         )
 
     X0 = _starts(g, cfg)
-    steps = min(GROWTH_STEPS, cfg.max_iterations)
-    X1, _, _, it1 = _ascend(L, g.r, X0, steps)
+    X1, _, _, it1 = _ascend(L, g.r, X0, GROWTH_STEPS)
 
     # rows still moving get a face-Newton solve; an accepted row is done
-    moving = np.flatnonzero(it1 == steps)
+    moving = np.flatnonzero(it1 == GROWTH_STEPS)
     done = np.zeros(X1.shape[0], dtype=bool)
     for i in moving:
         y = _face_newton(L, g.r, X1[i])
         if y is not None:
             X1[i], done[i] = y, True
     rejected = moving[~done[moving]]
-    if rejected.size:
-        X1[rejected], _, _, more = _ascend(
-            L, g.r, X1[rejected], cfg.max_iterations - steps
-        )
-        it1[rejected] += more
+    X1[rejected], _, _, more = _ascend(
+        L, g.r, X1[rejected], MAX_GROWTH_STEPS - GROWTH_STEPS
+    )
+    it1[rejected] += more
 
     # support minimization: the rows Newton did not finish ascend again
     X2 = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
     X2 /= X2.sum(axis=1, keepdims=True)
     grad, v2, it2 = np.empty_like(X2), np.empty(len(X2)), np.zeros_like(it1)
     left = ~done
-    if done.any():  # the kernel takes no empty batch at r >= 4
-        grad[done], v2[done] = _batch_grad(L, g.r, X2[done])
-    if left.any():
-        X2[left], v2[left], grad[left], it2[left] = _ascend(
-            L, g.r, X2[left], cfg.max_iterations
-        )
+    grad[done], v2[done] = _batch_grad(L, g.r, X2[done])
+    X2[left], v2[left], grad[left], it2[left] = _ascend(
+        L, g.r, X2[left], MAX_GROWTH_STEPS
+    )
     kkt = _kkt_rows(X2, grad, v2, g.r)
 
     best = int(np.argmax(v2))
@@ -459,7 +453,7 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     if is_left_compressed(g):
         # descending reassignment never lowers the value for this class, and
         # multiplicative updates keep exact zeros, so adoption is loss-free
-        y = sorted_polish(g, best_x, cfg)
+        y = sorted_polish(g, best_x)
         gy, vy = _batch_grad(L, g.r, y[None, :])
         if vy[0] >= best_val - 1e-12:
             best_x = y

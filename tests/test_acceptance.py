@@ -33,7 +33,7 @@ from hyperlag import (
 from hyperlag.solver import KKT_TOLERANCE
 from ascent import ascent_step
 
-FAST = SolverConfig(restarts=8, max_iterations=2000)
+FAST = SolverConfig(restarts=8)
 
 #: solve reports produced anywhere in this module, for the converged-KKT check
 REPORTS = []

@@ -232,7 +232,7 @@ def test_verify_default_sweep_limit_exits_2(capsys):
         (["sharpness", "--r", "3", "--t", "6", "--m", "17"], "does not take --m"),
         (["lemma-2.2", "--r", "2", "--t", "4", "--m", "3"], "does not take --m"),
         (["sharpness", "--r", "3", "--t", "6", "--restarts", "5"], "solves nothing"),
-        (["sharpness", "--r", "3", "--t", "6", "--max-iterations", "9"], "solves nothing"),
+        (["sharpness", "--r", "4", "--t", "7", "--seed", "0"], "solves nothing"),
         (["sharpness", "--r", "3", "--t", "6", "--seed", "3"], "solves nothing"),
     ],
 )
@@ -243,13 +243,21 @@ def test_verify_refuses_settings_the_claim_ignores(capsys, argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("flag", ["--max-iterations", "--restarts"])
+@pytest.mark.parametrize("flag", ["--restarts"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_verify_rejects_non_positive_solver_settings(capsys, flag, value):
     code, out, err = run(capsys, "verify", "conjecture-2.2", "--t", "5", flag, value)
     assert code == 2
     assert out == ""
     assert f"{flag[2:].replace('-', '_')} must be >= 1" in err
+
+
+def test_step_cap_is_not_a_flag(capsys):
+    # the growth-step cap is the constant `solver.MAX_GROWTH_STEPS`
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "conjecture-2.2", "--t", "5", "--max-iterations", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-iterations 9" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperlag import format_hypergraph, hypergraph, report_to_csv, report_to_json, run_claim
+import hyperlag.solver
+from hyperlag import format_hypergraph, hypergraph, report_to_csv, report_to_json, run_claim, solve
 from hyperlag.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,6 +84,21 @@ def render(claim, params):
 def test_report_bytes_match_recording(claim, params):
     expected = json.loads(GOLDEN.read_text())[case_key(claim, params)]
     assert render(claim, params) == expected
+
+
+@pytest.mark.parametrize(
+    "claim,params",
+    [("conjecture-2.2", {"t": 5}), ("theorem-4.1", {"t": 5}), ("theorem-4.3", {"t": 7})],
+)
+def test_step_cap_is_only_a_safety_stop(monkeypatch, claim, params):
+    # one step past the growth phase, so every row Newton rejects stops at once
+    expected = json.loads(GOLDEN.read_text())[case_key(claim, params)]
+    monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", hyperlag.solver.GROWTH_STEPS + 1)
+    solve.cache_clear()
+    try:
+        assert render(claim, params) == expected
+    finally:
+        solve.cache_clear()
 
 
 def render_solve(g):

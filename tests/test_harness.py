@@ -31,7 +31,7 @@ from hyperlag import (
 from hyperlag import harness
 from hyperlag.harness import _RELATIONS, _default_m_values, _sweep
 
-FAST = SolverConfig(restarts=8, max_iterations=2000)
+FAST = SolverConfig(restarts=8)
 
 
 def solved(relation, reference, config=FAST):
@@ -364,7 +364,8 @@ class TestDispatch:
             run_claim("conjecture-2.2", t=9)
 
     def test_solver_settings_refused_where_nothing_is_solved(self):
-        with pytest.raises(ValueError, match="claim sharpness solves nothing"):
+        message = "^claim sharpness solves nothing; drop --restarts and --seed$"
+        with pytest.raises(ValueError, match=message):
             run_claim("sharpness", t=6, r=3, config=FAST)
 
     def test_readme_catalog_matches_claims(self):

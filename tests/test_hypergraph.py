@@ -47,6 +47,22 @@ def brute_max_clique(g):
     return best
 
 
+def brute_maximal_cliques(g):
+    """Every clique of order >= r that no one vertex extends, largest first."""
+    verts = range(1, g.n + 1)
+    cliques = {
+        sub
+        for k in range(g.r, g.n + 1)
+        for sub in combinations(verts, k)
+        if all(e in g.edge_set for e in combinations(sub, g.r))
+    }
+    maximal = [
+        c for c in cliques
+        if not any(tuple(sorted(c + (v,))) in cliques for v in verts if v not in c)
+    ]
+    return sorted(maximal, key=lambda c: (-len(c), c))
+
+
 class TestConstructors:
     def test_complete_graph(self):
         tri = complete_graph(3, 2)
@@ -258,6 +274,22 @@ class TestCliques:
     def test_maximal_cliques_triangle_plus_pendant(self):
         g = hypergraph(2, [(1, 2), (1, 3), (2, 3), (3, 4)])
         assert maximal_cliques(g) == [(1, 2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_maximal_cliques_against_brute_force(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        r = 2 + seed % 3
+        n = rng.randint(r + 2, 8)
+        density = rng.uniform(0.3, 1.0)
+        edges = [e for e in combinations(range(1, n + 1), r) if rng.random() < density]
+        g = hypergraph(r, edges, n=n)
+        expected = brute_maximal_cliques(g)
+        for cap in (None, 1, 3):
+            assert maximal_cliques(g, cap=cap) == expected[:cap]
+        if g.m:
+            assert max_clique_order(g) == len(maximal_cliques(g)[0])
 
     def test_maximal_cliques_past_node_budget_fall_back_to_maximum(self, monkeypatch):
         # `hyperlag.hypergraph` is the constructor, so patch the module itself

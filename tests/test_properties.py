@@ -28,7 +28,7 @@ from hyperlag.hypergraph import _direct_descendants
 from hyperlag.solver import _batch_grad, _link_matrix
 from ascent import ascent_step
 
-FAST = SolverConfig(restarts=8, max_iterations=2000)
+FAST = SolverConfig(restarts=8)
 
 
 @st.composite

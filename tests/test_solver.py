@@ -166,12 +166,26 @@ class TestOneKernelCallPerStep:
     def test_no_separate_value_call(self):
         assert not hasattr(hyperlag.solver, "_batch_value")
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_empty_batch(self, r):
+        g = complete_graph(r + 1, r)
+        L = hyperlag.solver._link_matrix(g)
+        grad, vals = hyperlag.solver._batch_grad(L, r, np.empty((0, g.n)))
+        assert (grad.shape, vals.shape) == ((0, g.n), (0,))
+        out = hyperlag.solver._ascend(L, r, np.empty((0, g.n)), 5)
+        assert [a.shape for a in out] == [(0, g.n), (0,), (0, g.n), (0,)]
+
 
 class TestSolveMemo:
-    CFG = SolverConfig(restarts=4, max_iterations=200)
+    CFG = SolverConfig(restarts=4)
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self):
+    def short_cap_and_empty_memo(self, monkeypatch):
+        # the memo keys on the config, not on the step cap, so no report
+        # solved at this cap may outlive the test
+        monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", hyperlag.solver.GROWTH_STEPS)
+        solve.cache_clear()
+        yield
         solve.cache_clear()
 
     def test_repeat_is_the_same_report_and_runs_no_kernel(self, monkeypatch):
@@ -198,12 +212,11 @@ class TestSolveMemo:
         others = [
             solve(g, replace(self.CFG, seed=1)),
             solve(g, replace(self.CFG, restarts=5)),
-            solve(g, replace(self.CFG, max_iterations=201)),
             solve(hypergraph(3, g.edges, n=g.n + 1), self.CFG),
         ]
         assert all(rep is not base for rep in others)
         info = solve.cache_info()
-        assert (info.hits, info.misses) == (0, 5)
+        assert (info.hits, info.misses) == (0, 4)
 
     def test_errors_are_not_memoized(self):
         n = round(hyperlag.solver.MAX_LINK_ENTRIES ** (1 / 3)) + 1
@@ -260,6 +273,8 @@ class TestFaceNewton:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
         solve.cache_clear()
+        yield
+        solve.cache_clear()
 
     def growth_steps(self, monkeypatch):
         """Wrap `_ascend`; returns a list that collects each call's step total."""
@@ -281,16 +296,17 @@ class TestFaceNewton:
         assert rep.support == (1, 2, 3, 4)
         assert rep.kkt_residual <= hyperlag.solver.KKT_TOLERANCE
         assert rep.converged
-        # with growth steps only, 9 of the 16 rows run to the 5,000-step cap in
-        # both ascents, over 90,000 steps in all
+        # with growth steps only, 9 of the 16 rows run to the 50,000-step cap,
+        # over 600,000 steps in all
         assert sum(steps) < 10_000
 
     def test_rejected_rows_fall_back_to_growth(self, monkeypatch):
         monkeypatch.setattr(hyperlag.solver, "_face_newton", lambda L, r, x: None)
+        monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", 1000)
         steps = self.growth_steps(monkeypatch)
         rep = solve(self.DENSE, HARNESS_SOLVER)
         # the tail rows run on to the step cap; the K4 clique start still wins
-        assert sum(steps) > 10 * HARNESS_SOLVER.max_iterations
+        assert sum(steps) > 10 * hyperlag.solver.MAX_GROWTH_STEPS
         assert rep.value == 0.0625
 
     def test_off_face_check_rejects_a_triangle(self):
