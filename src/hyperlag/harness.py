@@ -11,8 +11,9 @@ from the row's relation, a key of `_RELATIONS`, and the report's scope is
 the row's. The solver certifies lower bounds only, so strict-inequality
 claims can be falsified but never fully confirmed: a `pass` means no
 counterexample was found among the enumerated left-compressed graphs,
-`fail` carries a witness, values inside the equality tolerance come back
-`inconclusive`, and so does a check that finds no instances at all.
+`fail` carries a witness, values inside the equality tolerance or not
+converged come back `inconclusive`, and so does a check that finds no
+instances at all.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ HARNESS_SOLVER = SolverConfig(restarts=16)
 EQUALITY_TOLERANCE = 1e-6
 
 #: Most r-sets `enumerate_left_compressed` puts in its rank tables. Each set
-#: costs about 300 bytes, so the tables stay under about 300 MB.
+#: costs about 300 bytes, so the tables stay under about 300 MB. The same cap
+#: bounds the edges of the colex prefixes that `run_claim` builds directly.
 MAX_TABLE_SETS = 1_000_000
 
 #: Most graphs `enumerate_left_compressed` yields for one call. A sweep keeps
@@ -200,24 +202,20 @@ def _edge_hash(g: RUniformHypergraph) -> str:
     return hashlib.sha256(format_hypergraph(g).encode()).hexdigest()[:12]
 
 
-def _verdict_eq(value: float, ref: float, converged: bool) -> str:
-    if value > ref + EQUALITY_TOLERANCE:
-        return "fail"
-    if abs(value - ref) <= EQUALITY_TOLERANCE and converged:
-        return "pass"
-    return "inconclusive"
+def _float_verdict(holds: Callable[[float, float], bool]) -> Callable[..., str]:
+    """A float relation's rule: a value above the reference by more than
+    `EQUALITY_TOLERANCE` fails; otherwise it passes only when it is converged
+    and `holds(value, ref)`, and anything else is inconclusive."""
+
+    def judge(value: float, ref: float, converged: bool) -> str:
+        if value > ref + EQUALITY_TOLERANCE:
+            return "fail"
+        return "pass" if converged and holds(value, ref) else "inconclusive"
+
+    return judge
 
 
-def _verdict_lt(value: float, ref: float, converged: bool) -> str:
-    if value < ref - EQUALITY_TOLERANCE:
-        return "pass"
-    if value > ref + EQUALITY_TOLERANCE:
-        return "fail"
-    return "inconclusive"
-
-
-def _verdict_le(value: float, ref: float, converged: bool) -> str:
-    return "pass" if value <= ref + EQUALITY_TOLERANCE else "fail"
+_verdict_eq = _float_verdict(lambda value, ref: abs(value - ref) <= EQUALITY_TOLERANCE)
 
 
 def _verdict_gt(value: Fraction, ref: Fraction, converged: bool) -> str:
@@ -228,8 +226,8 @@ def _verdict_gt(value: Fraction, ref: Fraction, converged: bool) -> str:
 #: Instance verdict from (value, reference, converged); `gt` takes Fractions.
 _RELATIONS: dict[str, Callable[..., str]] = {
     "eq": _verdict_eq,
-    "lt": _verdict_lt,
-    "le": _verdict_le,
+    "lt": _float_verdict(lambda value, ref: value < ref - EQUALITY_TOLERANCE),
+    "le": _float_verdict(lambda value, ref: value <= ref + EQUALITY_TOLERANCE),
     "gt": _verdict_gt,
 }
 
@@ -513,8 +511,9 @@ def run_claim(
     `config` defaults to `HARNESS_SOLVER`. Raises ValueError for an unknown
     claim, a missing t, a t, r or m the claim's row rules out and a `config`
     for a row that solves nothing (sharpness); ResourceLimitError when the
-    default sweep does not cover t, or an edge count needs more than
-    `MAX_TABLE_SETS` r-sets or yields more than `MAX_GRAPHS` graphs.
+    default sweep does not cover t, a colex prefix would have more than
+    `MAX_TABLE_SETS` edges, or an edge count needs more than `MAX_TABLE_SETS`
+    r-sets or yields more than `MAX_GRAPHS` graphs.
     """
     spec = CLAIMS.get(claim_id)
     if spec is None:
@@ -533,6 +532,10 @@ def run_claim(
             f"claim {claim_id} needs t >= {r + spec.min_t_over_r}, got t = {t}"
         )
     lo, hi = spec.m_range(t, r)
+    if spec.instances != "left-compressed" and hi > MAX_TABLE_SETS:
+        raise ResourceLimitError(
+            f"colex prefix limit exceeded: {hi} edges > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
+        )
     if m is not None:
         if spec.instances != "left-compressed":
             raise ValueError(f"claim {claim_id} does not take --m")

@@ -27,8 +27,8 @@ where a vertex's weight shrinks while its link value ties r times the
 objective (a clique plus extra edges through one of its vertices). So every
 row takes `GROWTH_STEPS` growth steps, and a row still moving then gets
 Newton's method on the KKT equations of its face (`_face_newton`). A row
-Newton finishes is done; any other row goes on with growth steps, at most
-`MAX_GROWTH_STEPS` in all.
+Newton finishes is done; any other row has its support cut and then takes
+one more growth pass of at most `MAX_GROWTH_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ STEP_GAIN_FLOOR = 1e-14
 KKT_TOLERANCE = 1e-12
 #: Growth steps every row takes before its face-Newton solve.
 GROWTH_STEPS = 200
-#: Most growth steps one row takes per ascent. A safety stop: only a row that
-#: Newton rejects runs past `GROWTH_STEPS`, and no claim check reaches it.
+#: Most growth steps of one ascent after the support cut, so a row takes at
+#: most `GROWTH_STEPS` + `MAX_GROWTH_STEPS` in all. A safety stop that no
+#: claim check reaches.
 MAX_GROWTH_STEPS = 50_000
 #: A row's face: the weights above this fraction of its largest weight.
 FACE_RATIO = 1e-4
@@ -255,8 +256,7 @@ def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:
     """
     arr = _as_weights(g, x)
     _check_feasible(arr)
-    grad, val = _batch_grad(_link_matrix(g), g.r, arr[None, :])
-    return float(_kkt_rows(arr[None, :], grad, val, g.r)[0])
+    return _value_kkt(_link_matrix(g), g.r, arr)[1]
 
 
 def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.ndarray:
@@ -268,30 +268,26 @@ def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.n
     return sup + np.maximum(off, 0.0)
 
 
+def _value_kkt(L: np.ndarray, r: int, x: np.ndarray) -> tuple[float, float]:
+    """Objective value and KKT residual of one weighting."""
+    grad, val = _batch_grad(L, r, x[None, :])
+    return float(val[0]), float(_kkt_rows(x[None, :], grad, val, r)[0])
+
+
 def sorted_polish(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
     """Reassign weights in non-increasing label order, then re-converge.
 
-    For a left-compressed graph the descending reassignment never decreases
-    the objective, and some optimal weighting is non-increasing, so iterating
-    sort-then-polish canonicalizes the output. Repeats until stable.
-
-    `solve` polishes only left-compressed graphs, where one round is enough:
-    a growth step keeps a non-increasing weighting non-increasing, since
-    x_i >= x_j and i < j give x_i * d_i >= x_j * d_j for the link values d
-    (all 536 polishes of the claim battery took one round, the worst order
-    violation 2.8e-17). On a graph that is not left-compressed a round can
-    leave the order (289 of 300 random ones on at most 8 vertices needed
-    more), so the loop stays.
+    Meant for left-compressed graphs, the only ones `solve` polishes. There
+    the descending reassignment never decreases the objective, some optimal
+    weighting is non-increasing, and a growth step keeps a non-increasing
+    weighting non-increasing, since x_i >= x_j and i < j give
+    x_i * d_i >= x_j * d_j for the link values d. So one round canonicalizes
+    the output.
     """
     arr = _as_weights(g, x)
     _check_feasible(arr)
-    L = _link_matrix(g)
-    for _ in range(16):
-        arr = np.sort(arr)[::-1].copy()
-        arr = _ascend(L, g.r, arr[None, :], MAX_GROWTH_STEPS)[0][0]
-        if np.all(arr[:-1] >= arr[1:] - 1e-12):
-            break
-    return arr
+    arr = np.sort(arr)[::-1].copy()
+    return _ascend(_link_matrix(g), g.r, arr[None, :], MAX_GROWTH_STEPS)[0][0]
 
 
 def _face_newton(L: np.ndarray, r: int, x0: np.ndarray) -> np.ndarray | None:
@@ -380,9 +376,9 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     draws, `restarts` trials in total. Each trial takes `GROWTH_STEPS`
     growth steps. A trial still moving then gets a Newton solve on its face;
     if Newton's KKT point is accepted, the trial is done. Every other trial
-    runs growth updates to the gain floor or `MAX_GROWTH_STEPS`, then gets its
-    support minimized and ascends again. The best value wins, with ties
-    broken toward the earlier trial. If the winner's KKT residual is above
+    gets its support minimized and runs growth updates to the gain floor or
+    `MAX_GROWTH_STEPS`. The best value wins, with ties broken toward the
+    earlier trial. If the winner's KKT residual is above
     `KKT_TOLERANCE`, it gets one more Newton solve before the sorted polish.
 
     Reports are memoized on the graph and the config (None meaning
@@ -414,19 +410,13 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     X1, _, _, it1 = _ascend(L, g.r, X0, GROWTH_STEPS)
 
     # rows still moving get a face-Newton solve; an accepted row is done
-    moving = np.flatnonzero(it1 == GROWTH_STEPS)
     done = np.zeros(X1.shape[0], dtype=bool)
-    for i in moving:
+    for i in np.flatnonzero(it1 == GROWTH_STEPS):
         y = _face_newton(L, g.r, X1[i])
         if y is not None:
             X1[i], done[i] = y, True
-    rejected = moving[~done[moving]]
-    X1[rejected], _, _, more = _ascend(
-        L, g.r, X1[rejected], MAX_GROWTH_STEPS - GROWTH_STEPS
-    )
-    it1[rejected] += more
 
-    # support minimization: the rows Newton did not finish ascend again
+    # support minimization: the rows Newton did not finish take one more pass
     X2 = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
     X2 /= X2.sum(axis=1, keepdims=True)
     grad, v2, it2 = np.empty_like(X2), np.empty(len(X2)), np.zeros_like(it1)
@@ -446,19 +436,16 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     if best_kkt > KKT_TOLERANCE:
         y = _face_newton(L, g.r, best_x)
         if y is not None:
-            gy, vy = _batch_grad(L, g.r, y[None, :])
-            best_x, best_val = y, float(vy[0])
-            best_kkt = float(_kkt_rows(y[None, :], gy, vy, g.r)[0])
+            best_x = y
+            best_val, best_kkt = _value_kkt(L, g.r, y)
 
     if is_left_compressed(g):
         # descending reassignment never lowers the value for this class, and
         # multiplicative updates keep exact zeros, so adoption is loss-free
         y = sorted_polish(g, best_x)
-        gy, vy = _batch_grad(L, g.r, y[None, :])
-        if vy[0] >= best_val - 1e-12:
-            best_x = y
-            best_val = float(vy[0])
-            best_kkt = float(_kkt_rows(y[None, :], gy, vy, g.r)[0])
+        vy, ky = _value_kkt(L, g.r, y)
+        if vy >= best_val - 1e-12:
+            best_x, best_val, best_kkt = y, vy, ky
 
     converged = best_kkt <= KKT_TOLERANCE
     if g.r == 2 and n <= CLIQUE_SEARCH_MAX_VERTICES:

@@ -226,6 +226,15 @@ def test_verify_default_sweep_limit_exits_2(capsys):
     assert "covers t <= 8 for 3-graphs" in err
 
 
+@pytest.mark.parametrize("claim", ["sharpness", "lemma-2.2"])
+def test_verify_refuses_oversized_colex_prefixes(capsys, claim):
+    # the stable range at t = 300 ends past 4.4 million edges: refused before
+    # any prefix is built
+    code, out, err = run(capsys, "verify", claim, "--r", "3", "--t", "300")
+    assert (code, out) == (2, "")
+    assert "colex prefix limit exceeded" in err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -91,7 +91,8 @@ def test_report_bytes_match_recording(claim, params):
     [("conjecture-2.2", {"t": 5}), ("theorem-4.1", {"t": 5}), ("theorem-4.3", {"t": 7})],
 )
 def test_step_cap_is_only_a_safety_stop(monkeypatch, claim, params):
-    # one step past the growth phase, so every row Newton rejects stops at once
+    # one step past the growth phase, so the ascent after the support cut
+    # stops at 201 steps
     expected = json.loads(GOLDEN.read_text())[case_key(claim, params)]
     monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", hyperlag.solver.GROWTH_STEPS + 1)
     solve.cache_clear()

@@ -254,9 +254,9 @@ FLOAT_VERDICTS = {
     ("eq", True): ("fail", "pass", "pass", "pass", "inconclusive"),
     ("eq", False): ("fail",) + ("inconclusive",) * 4,
     ("lt", True): ("fail", "inconclusive", "inconclusive", "inconclusive", "pass"),
-    ("lt", False): ("fail", "inconclusive", "inconclusive", "inconclusive", "pass"),
+    ("lt", False): ("fail",) + ("inconclusive",) * 4,
     ("le", True): ("fail", "pass", "pass", "pass", "pass"),
-    ("le", False): ("fail", "pass", "pass", "pass", "pass"),
+    ("le", False): ("fail",) + ("inconclusive",) * 4,
 }
 # exact margins around the complete 3-graph on 4 vertices, 2/25; any positive
 # margin passes, however far inside the float tolerance

@@ -1,4 +1,10 @@
-"""The scripts under scripts/ still run against the library they import."""
+"""The scripts under scripts/ still run against the library they import.
+
+`data/battery_verdicts.csv` records the verdict of every instance of the
+default claim battery. Rewrite it only when a verdict is meant to change:
+
+    PYTHONPATH=src python tests/test_scripts.py
+"""
 
 import os
 import runpy
@@ -6,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hyperlag import CLAIMS
+from hyperlag import CLAIMS, run_claim
 
 ROOT = Path(__file__).resolve().parent.parent
+BATTERY = runpy.run_path(str(ROOT / "scripts" / "run_claim_battery.py"))["BATTERY"]
+BATTERY_VERDICTS = Path(__file__).parent / "data" / "battery_verdicts.csv"
 
 
 def run_script(name, *args):
@@ -46,6 +54,25 @@ def test_claim_battery_counts_solves_and_memo_hits(tmp_path):
 def test_every_claim_is_in_the_battery_and_the_goldens():
     from test_golden_reports import CASES
 
-    battery = runpy.run_path(str(ROOT / "scripts" / "run_claim_battery.py"))["BATTERY"]
-    assert set(CLAIMS) <= {claim for claim, _ in battery}
+    assert set(CLAIMS) <= {claim for claim, _ in BATTERY}
     assert set(CLAIMS) <= {claim for claim, _ in CASES}
+
+
+def battery_verdicts():
+    """One line per instance of the battery: claim, params, m, edge hash, verdict."""
+    lines = ["claim,params,m,edge_hash,verdict"]
+    for claim, params in BATTERY:
+        tag = "_".join(f"{k}{v}" for k, v in sorted(params.items()))
+        for row in run_claim(claim, **params).rows:
+            lines.append(f"{claim},{tag},{row.m},{row.edge_hash},{row.verdict}")
+    return lines
+
+
+def test_battery_verdicts_match_recording():
+    assert battery_verdicts() == BATTERY_VERDICTS.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    lines = battery_verdicts()
+    BATTERY_VERDICTS.write_text("\n".join(lines) + "\n")
+    print(f"recorded {len(lines) - 1} instance verdicts in {BATTERY_VERDICTS}")

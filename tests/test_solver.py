@@ -13,9 +13,11 @@ from hyperlag import (
     complete_graph,
     complete_lagrangian,
     complete_lagrangian_exact,
+    enumerate_left_compressed,
     evaluate,
     evaluate_exact,
     hypergraph,
+    is_left_compressed,
     kkt_residual,
     link,
     link_value,
@@ -305,9 +307,17 @@ class TestFaceNewton:
         monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", 1000)
         steps = self.growth_steps(monkeypatch)
         rep = solve(self.DENSE, HARNESS_SOLVER)
-        # the tail rows run on to the step cap; the K4 clique start still wins
+        # the tail rows run on to the step cap after the support cut, 10,815
+        # steps in all; the K4 clique start still wins
         assert sum(steps) > 10 * hyperlag.solver.MAX_GROWTH_STEPS
         assert rep.value == 0.0625
+
+    def test_one_growth_pass_after_newton(self, monkeypatch):
+        # the first ascent, the one pass after the support cut and the polish
+        assert is_left_compressed(self.DENSE)
+        ascents = counting(monkeypatch, "_ascend")
+        solve(self.DENSE, HARNESS_SOLVER)
+        assert len(ascents) == 3
 
     def test_off_face_check_rejects_a_triangle(self):
         # on face {1, 2, 5} the KKT point is the start itself, but vertex 3
@@ -412,6 +422,22 @@ class TestSortedPolish:
         out = sorted_polish(g, shuffled)
         assert all(out[i] >= out[i + 1] - 1e-9 for i in range(len(out) - 1))
         assert evaluate(g, out) >= rep.value - 1e-9
+
+    def test_one_round_keeps_order_and_value(self, monkeypatch):
+        # a growth step keeps sorted weights sorted on a left-compressed graph
+        # and never lowers the value, so the property holds at any step cap;
+        # the cap stops the starts that crawl toward a degenerate face (some
+        # take the full 50,000 steps)
+        monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", 1000)
+        rng = np.random.default_rng(0)
+        for r in (2, 3, 4):
+            for m in range(1, 11):
+                for g in enumerate_left_compressed(r, m, 9):
+                    for x in rng.dirichlet(np.ones(g.n), size=3):
+                        out = sorted_polish(g, x)
+                        assert np.all(out[:-1] >= out[1:] - 1e-12)
+                        start = np.sort(x)[::-1]
+                        assert evaluate(g, out) >= evaluate(g, start) - 1e-15
 
 
 class TestClosedForms:
