@@ -66,7 +66,7 @@ MAX_GROWTH_STEPS = 50_000
 FACE_RATIO = 1e-4
 #: Weights at or below this are off the support.
 SUPPORT_THRESHOLD = 1e-9
-#: Most entries (n^r) a graph's link matrix may hold, 8 MB of float64.
+#: Most entries a link matrix or a start batch's gradient holds, 8 MB of float64.
 MAX_LINK_ENTRIES = 1_000_000
 #: Most reports `solve` keeps, dropping the least recently used first.
 SOLVE_MEMO_SIZE = 4096
@@ -74,7 +74,7 @@ SOLVE_MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multistart size and seed of the Dirichlet starts.
+    """Multistart size, and the seed of one generator for every Dirichlet start.
 
     Clique starts run, and 2-graphs are checked against Motzkin-Straus, on
     graphs with at most `CLIQUE_SEARCH_MAX_VERTICES` vertices.
@@ -362,9 +362,8 @@ def _starts(g: RUniformHypergraph, config: SolverConfig) -> np.ndarray:
             w = np.zeros(n)
             w[np.asarray(clique) - 1] = 1.0 / len(clique)
             rows.append(w)
-    while len(rows) < config.restarts:
-        rng = np.random.default_rng((config.seed, len(rows)))
-        rows.append(rng.dirichlet(np.ones(n)))
+    rng = np.random.default_rng(config.seed)
+    rows.extend(rng.dirichlet(np.ones(n), size=config.restarts - len(rows)))
     return np.asarray(rows)
 
 
@@ -372,18 +371,21 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     """Best value over a deterministic multistart schedule.
 
     Trial list: the uniform weighting, then a uniform weighting on each
-    maximal clique (when n <= CLIQUE_SEARCH_MAX_VERTICES), then seeded flat-Dirichlet
-    draws, `restarts` trials in total. Each trial takes `GROWTH_STEPS`
-    growth steps. A trial still moving then gets a Newton solve on its face;
-    if Newton's KKT point is accepted, the trial is done. Every other trial
-    gets its support minimized and runs growth updates to the gain floor or
-    `MAX_GROWTH_STEPS`. The best value wins, with ties broken toward the
-    earlier trial. If the winner's KKT residual is above
-    `KKT_TOLERANCE`, it gets one more Newton solve before the sorted polish.
+    maximal clique (when n <= CLIQUE_SEARCH_MAX_VERTICES), then flat-Dirichlet
+    draws from one generator seeded by `config.seed`, `restarts` trials in
+    total. Each trial takes `GROWTH_STEPS` growth steps. A trial still moving
+    then gets a Newton solve on its face; if Newton's KKT point is accepted,
+    the trial is done. Every other trial gets its support minimized and runs
+    growth updates to the gain floor or `MAX_GROWTH_STEPS`. The best value
+    wins, with ties broken toward the earlier trial. If the winner's KKT
+    residual is above `KKT_TOLERANCE`, it gets one more Newton solve before
+    the sorted polish.
 
     Reports are memoized on the graph and the config (None meaning
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
-    returns the same frozen report. Errors are not memoized.
+    returns the same frozen report. Errors are not memoized. Raises
+    ResourceLimitError, before building the trials, when their gradient
+    would hold more than `MAX_LINK_ENTRIES` entries.
     """
     return _solve(g, config or SolverConfig())
 
@@ -406,6 +408,13 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
             pairs_covered=False,
         )
 
+    # the gradient `_batch_grad` returns, the batch's largest array at r <= 4
+    k = min(g.r - 1, 2)
+    if cfg.restarts * n**k > MAX_LINK_ENTRIES:
+        raise ResourceLimitError(
+            f"start batch limit exceeded: restarts * n^{k} = {cfg.restarts} * {n}^{k}"
+            f" = {cfg.restarts * n**k} entries > MAX_LINK_ENTRIES = {MAX_LINK_ENTRIES}"
+        )
     X0 = _starts(g, cfg)
     X1, _, _, it1 = _ascend(L, g.r, X0, GROWTH_STEPS)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlag import SolverConfig, harness, solve
+from hyperlag import SolverConfig, harness, solve, solver
 from hyperlag.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -294,6 +294,16 @@ def test_solve_link_matrix_limit_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path))
     assert (code, out) == (2, "")
     assert "MAX_LINK_ENTRIES" in err
+
+
+def test_solve_start_batch_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # 10^8 restarts of 4^2 gradient entries each: refused before a start is built
+    path = tmp_path / "k.hg"
+    run(capsys, "gen", "complete", "--r", "3", "--t", "4", "-o", str(path))
+    monkeypatch.setattr(solver, "_starts", lambda g, config: pytest.fail("built the starts"))
+    code, out, err = run(capsys, "solve", str(path), "--restarts", "100000000")
+    assert (code, out) == (2, "")
+    assert "start batch limit exceeded" in err and "MAX_LINK_ENTRIES" in err
 
 
 def test_solver_flags_match_config_and_readme(capsys):

@@ -21,6 +21,7 @@ from hyperlag import (
     kkt_residual,
     link,
     link_value,
+    maximal_cliques,
     motzkin_straus_value,
     report_to_csv,
     report_to_json,
@@ -243,6 +244,61 @@ class TestSolveMemo:
             solve.cache_clear()
             fresh.append(run_claim(f"corollary-{variant}", t=6, m=10))
         assert rendered([first, second]) == rendered(fresh)
+
+
+class TestStartSchedule:
+    # maximal cliques {1, 2, 3, 4}, {1, 2, 5} and {1, 2, 6}
+    G = hypergraph(3, list(complete_graph(4, 3).edges) + [(1, 2, 5), (1, 2, 6)], n=6)
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(), HARNESS_SOLVER, SolverConfig(seed=7)])
+    def test_one_generator_draws_every_dirichlet_row(self, monkeypatch, cfg):
+        default_rng, real_starts = np.random.default_rng, hyperlag.solver._starts
+        built, starts = [], []
+
+        def counted_rng(*args):
+            built.append(args)
+            return default_rng(*args)
+
+        def recorded_starts(g, config):
+            starts.append(real_starts(g, config))
+            return starts[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        monkeypatch.setattr(hyperlag.solver, "_starts", recorded_starts)
+        solve.cache_clear()
+        try:
+            solve(self.G, cfg)
+        finally:
+            solve.cache_clear()
+        assert built == [(cfg.seed,)]
+        [rows] = starts
+        n = self.G.n
+        head = [np.full(n, 1.0 / n)]
+        for clique in maximal_cliques(self.G, cap=cfg.restarts - 1):
+            w = np.zeros(n)
+            w[np.asarray(clique) - 1] = 1.0 / len(clique)
+            head.append(w)
+        assert len(head) == 4
+        draws = default_rng(cfg.seed).dirichlet(np.ones(n), size=cfg.restarts - 4)
+        np.testing.assert_array_equal(rows, np.vstack([head, draws]))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_start_batch_past_entry_limit_refused_before_building(self, monkeypatch, r):
+        # the limit at the link matrix's n^r entries; a row's gradient holds
+        # n^min(r-1, 2) of them
+        g = complete_graph(5, r)
+        most = 5**r // 5 ** min(r - 1, 2)
+        monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", 5**r)
+        solve.cache_clear()
+        try:
+            assert solve(g, SolverConfig(restarts=most)).restarts_used == most
+            starts = counting(monkeypatch, "_starts")
+            with pytest.raises(ResourceLimitError, match="start batch limit exceeded"):
+                solve(g, SolverConfig(restarts=most + 1))
+            assert starts == []
+        finally:
+            solve.cache_clear()
 
 
 class TestKKT:
