@@ -29,11 +29,16 @@ row takes `GROWTH_STEPS` growth steps, and a row still moving then gets
 Newton's method on the KKT equations of its face (`_face_newton`). A row
 Newton finishes is done; any other row has its support cut and then takes
 one more growth pass of at most `MAX_GROWTH_STEPS` steps.
+
+A left-compressed g has lambda(g) = lambda(g[K]), the core g[K] keeping the
+edges inside [K], K the largest k >= r with {1, ..., r-2, k-1, k} an edge:
+a least-support optimum covers its pairs (Frankl-Rodl 1984) and may be
+sorted (`sorted_polish`), so its support [k] covers {k-1, k}, and k <= K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -101,6 +106,10 @@ class SolveReport:
     Newton iterations are not counted. `pairs_covered` records whether
     every pair of supported vertices lies in a common edge, a necessary
     condition at minimal-support optima.
+
+    For a left-compressed g solved on its core g[K], both weightings are
+    padded with zeros to n; `kkt_residual`, `converged` and `pairs_covered`
+    are those of g.
     """
 
     value: float
@@ -256,7 +265,18 @@ def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:
     """
     arr = _as_weights(g, x)
     _check_feasible(arr)
-    return _value_kkt(_link_matrix(g), g.r, arr)[1]
+    return _edge_kkt(g, arr)
+
+
+def _edge_kkt(g: RUniformHypergraph, x: np.ndarray) -> float:
+    """KKT residual in O(m r): each edge adds the product of its other
+    weights to the link value of each of its vertices."""
+    eidx = _edge_index(g)
+    w, cols = x[eidx], np.arange(g.r)
+    others = np.stack([w[:, cols != j].prod(axis=1) for j in cols], axis=1)
+    grad = np.bincount(eidx.ravel(), others.ravel(), minlength=g.n)
+    val = np.array([x @ grad / g.r])
+    return float(_kkt_rows(x[None, :], grad[None, :], val, g.r)[0])
 
 
 def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.ndarray:
@@ -381,13 +401,30 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     residual is above `KKT_TOLERANCE`, it gets one more Newton solve before
     the sorted polish.
 
-    Reports are memoized on the graph and the config (None meaning
+    A left-compressed g with K < n is solved as its core g[K] (module
+    docstring) and padded to n, so the entry limits below bind on K.
+
+    Reports are memoized on the solved graph and the config (None meaning
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
-    returns the same frozen report. Errors are not memoized. Raises
-    ResourceLimitError, before building the trials, when their gradient
-    would hold more than `MAX_LINK_ENTRIES` entries.
+    returns the same frozen report, or pads it anew. Errors are not
+    memoized. Raises ResourceLimitError, before building the trials, when
+    their gradient would hold more than `MAX_LINK_ENTRIES` entries.
     """
-    return _solve(g, config or SolverConfig())
+    cfg = config or SolverConfig()
+    head = tuple(range(1, g.r - 1))
+    k = max((e[-1] for e in g.edges if e[:-2] == head and e[-1] - e[-2] == 1), default=g.n)
+    if k == g.n or not is_left_compressed(g):
+        return _solve(g, cfg)
+    rep = _solve(RUniformHypergraph(g.r, k, tuple(e for e in g.edges if e[-1] <= k)), cfg)
+    w = rep.weighting + (0.0,) * (g.n - k)
+    kkt = _edge_kkt(g, np.asarray(w))
+    # the core's Motzkin-Straus check holds for g, which has its clique
+    # order, and g covers every pair its core covers
+    return replace(
+        rep, weighting=w, raw_weighting=rep.raw_weighting + w[k:], kkt_residual=kkt,
+        converged=rep.converged and kkt <= KKT_TOLERANCE,
+        pairs_covered=rep.pairs_covered or _pairs_covered(g, rep.support),
+    )
 
 
 @lru_cache(maxsize=SOLVE_MEMO_SIZE)

@@ -288,12 +288,26 @@ def test_verify_table_limit_exits_2(capsys):
 
 
 def test_solve_link_matrix_limit_exits_2(tmp_path, capsys):
-    # 2000^3 entries: past MAX_LINK_ENTRIES before anything is allocated
+    # 2000^3 entries: past MAX_LINK_ENTRIES before anything is allocated; the
+    # edge {1, 2, 2000} is not left-compressed, so no core cuts n down
     path = tmp_path / "wide.hg"
-    path.write_text("3 2000 1\n1 2 3\n")
+    path.write_text("3 2000 1\n1 2 2000\n")
     code, out, err = run(capsys, "solve", str(path))
     assert (code, out) == (2, "")
     assert "MAX_LINK_ENTRIES" in err
+
+
+def test_solve_wide_left_compressed_graph_on_its_core(tmp_path, capsys):
+    # K = 3: solved on [3] and padded to 2000 weights
+    path = tmp_path / "wide.hg"
+    path.write_text("3 2000 1\n1 2 3\n")
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(1 / 27, abs=1e-15)
+    assert len(doc["weighting"]) == len(doc["raw_weighting"]) == 2000
+    assert doc["support"] == [1, 2, 3]
+    assert doc["converged"] is True
 
 
 def test_solve_start_batch_limit_exits_2(tmp_path, capsys, monkeypatch):

@@ -209,21 +209,25 @@ class TestSolveMemo:
         info = solve.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
-    def test_any_other_setting_or_vertex_count_misses(self):
+    def test_any_other_setting_misses_and_isolated_vertices_hit_the_core(self):
         g = colex_graph(3, 10)
         base = solve(g, self.CFG)
         others = [
             solve(g, replace(self.CFG, seed=1)),
             solve(g, replace(self.CFG, restarts=5)),
-            solve(hypergraph(3, g.edges, n=g.n + 1), self.CFG),
         ]
         assert all(rep is not base for rep in others)
+        # g is the core of g plus an isolated vertex, which pads g's report
+        padded = solve(hypergraph(3, g.edges, n=g.n + 1), self.CFG)
+        assert padded.weighting == base.weighting + (0.0,)
+        assert padded.value == base.value
         info = solve.cache_info()
-        assert (info.hits, info.misses) == (0, 4)
+        assert (info.hits, info.misses) == (1, 3)
 
     def test_errors_are_not_memoized(self):
+        # not left-compressed, so solved on all n vertices
         n = round(hyperlag.solver.MAX_LINK_ENTRIES ** (1 / 3)) + 1
-        g = hypergraph(3, [(1, 2, 3)], n=n)
+        g = hypergraph(3, [(1, 2, n)], n=n)
         for _ in range(2):
             with pytest.raises(ResourceLimitError, match="MAX_LINK_ENTRIES"):
                 solve(g)
@@ -247,8 +251,9 @@ class TestSolveMemo:
 
 
 class TestStartSchedule:
-    # maximal cliques {1, 2, 3, 4}, {1, 2, 5} and {1, 2, 6}
-    G = hypergraph(3, list(complete_graph(4, 3).edges) + [(1, 2, 5), (1, 2, 6)], n=6)
+    # maximal cliques {1, 2, 3, 4}, {1, 2, 5} and {3, 4, 6}; not left-compressed,
+    # so solved on all six vertices
+    G = hypergraph(3, list(complete_graph(4, 3).edges) + [(1, 2, 5), (3, 4, 6)], n=6)
 
     @pytest.mark.parametrize("cfg", [SolverConfig(), HARNESS_SOLVER, SolverConfig(seed=7)])
     def test_one_generator_draws_every_dirichlet_row(self, monkeypatch, cfg):
@@ -301,6 +306,44 @@ class TestStartSchedule:
             solve.cache_clear()
 
 
+def claim_graphs(claim, t):
+    """Every left-compressed graph a claim's default sweep at t enumerates."""
+    spec = CLAIMS[claim]
+    lo, hi = spec.m_range(t, spec.r)
+    return [g for m in range(lo, hi + 1) for g in _left_compressed_instances(spec, t, spec.r, m)]
+
+
+def core_order(g):
+    """K: the largest k >= r with {1, ..., r-2, k-1, k} an edge."""
+    head = tuple(range(1, g.r - 1))
+    return max(k for k in range(g.r, g.n + 1) if head + (k - 1, k) in g.edge_set)
+
+
+class TestCoreReduction:
+    @pytest.mark.parametrize("t", [5, 6])
+    def test_core_solve_is_the_uncut_solve_padded(self, t):
+        claims = ["conjecture-2.2", "theorem-5.1", "conjecture-2.1"]
+        for g in (g for claim in claims for g in claim_graphs(claim, t)):
+            k = core_order(g)
+            rep = solve(g, HARNESS_SOLVER)
+            uncut = hyperlag.solver._solve(g, HARNESS_SOLVER)
+            assert rep.value == pytest.approx(uncut.value, abs=1e-12)
+            assert not any(rep.weighting[k:])
+            assert kkt_residual(g, rep.weighting) <= hyperlag.solver.KKT_TOLERANCE
+            assert rep.pairs_covered
+
+    def test_one_start_batch_per_distinct_core(self, monkeypatch):
+        graphs = claim_graphs("conjecture-2.2", 6)
+        cores = {tuple(e for e in g.edges if e[-1] <= core_order(g)) for g in graphs}
+        solve.cache_clear()
+        starts = counting(monkeypatch, "_starts")
+        try:
+            run_claim("conjecture-2.2", t=6)
+        finally:
+            solve.cache_clear()
+        assert len(starts) == len(cores) < len(graphs)
+
+
 class TestKKT:
     def test_complete_graph_uniform(self):
         assert kkt_residual(TRIANGLE, [1 / 3] * 3) == pytest.approx(0.0, abs=1e-15)
@@ -312,6 +355,11 @@ class TestKKT:
     def test_single_edge_skewed(self):
         g = hypergraph(2, [(1, 2)])
         assert kkt_residual(g, [0.9, 0.1]) == pytest.approx(0.72, abs=1e-15)
+
+    def test_any_size_from_the_edge_list(self):
+        # 2000^3 link-matrix entries, past MAX_LINK_ENTRIES; the edge list is one edge
+        g = hypergraph(3, [(1, 2, 3)], n=2000)
+        assert kkt_residual(g, [1 / 3] * 3 + [0.0] * 1997) <= 1e-15
 
     def test_off_support_violation_counts(self):
         # (0.5, 0.5, 0) on the triangle: supported links match, but the
