@@ -256,12 +256,19 @@ def _sweep(
     margin is within `_WITNESS_TIE` of the group's largest, so that noise in
     the last bits of the values does not pick the witness. A sweep with no
     instances at all is inconclusive, never a pass.
+
+    Of the passing graphs only the possible witnesses are kept: those whose
+    margin is above every earlier one and within `_WITNESS_TIE` of the
+    largest so far. A later graph with a margin no larger than an earlier
+    one's could be the witness only if that earlier one is too far below
+    the top, and then so is it.
     """
     t0 = time.perf_counter()
     rows: list[InstanceRow] = []
     witnesses: list[Witness] = []
     for graphs in groups:
         found: list[Witness] = []
+        # possible witnesses, margins rising; the first is the witness so far
         passed: list[tuple[float, RUniformHypergraph, float]] = []
         for g in graphs:
             value, verdict = measure(g)
@@ -272,11 +279,11 @@ def _sweep(
             if verdict != "pass":
                 if len(found) < _MAX_WITNESSES:
                     found.append(Witness(format_hypergraph(g), value, reference, margin))
-            else:
+            elif not passed or margin > passed[-1][0]:
+                passed = [p for p in passed if p[0] >= margin - _WITNESS_TIE]
                 passed.append((margin, g, value))
         if not found and passed:
-            top = max(p[0] for p in passed)
-            margin, g, value = next(p for p in passed if p[0] >= top - _WITNESS_TIE)
+            margin, g, value = passed[0]
             found.append(Witness(format_hypergraph(g), value, reference, margin))
         witnesses.extend(found)
     verdicts = {row.verdict for row in rows}

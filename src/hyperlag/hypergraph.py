@@ -195,12 +195,21 @@ def left_compress(g: RUniformHypergraph) -> RUniformHypergraph:
     return RUniformHypergraph(g.r, g.n, tuple(edges))
 
 
-def _extends_clique(g: RUniformHypergraph, clique: tuple[int, ...], v: int) -> bool:
-    if len(clique) < g.r - 1:
-        return True
-    return all(
-        tuple(sorted(sub + (v,))) in g.edge_set for sub in combinations(clique, g.r - 1)
-    )
+def _clique_links(g: RUniformHypergraph) -> dict[tuple[int, ...], set[int]]:
+    """Each (r-1)-subset of an edge, mapped to the vertices completing it to an edge."""
+    links: dict[tuple[int, ...], set[int]] = {}
+    for e in g.edges:
+        for i in range(g.r):
+            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+    return links
+
+
+def _extenders(links: dict, r: int, clique: list[int], active: set[int]) -> set[int]:
+    """The vertices that complete each (r-1)-subset of the ascending `clique`
+    to an edge, by `_clique_links`; `active` while it has fewer than r-1."""
+    if len(clique) < r - 1:
+        return active
+    return set.intersection(*(links.get(s, set()) for s in combinations(clique, r - 1)))
 
 
 def max_clique_order(g: RUniformHypergraph) -> int:
@@ -221,22 +230,26 @@ def max_clique_order(g: RUniformHypergraph) -> int:
 
 def _max_clique_witness(g: RUniformHypergraph) -> tuple[int, ...]:
     """One maximum clique, found by ordered DFS with a cardinality prune."""
-    active = sorted({v for e in g.edges for v in e})
+    active = {v for e in g.edges for v in e}
+    links = _clique_links(g)
     best: tuple[int, ...] = g.edges[0]
 
     def extend(clique: list[int], cands: list[int]):
         nonlocal best
         if len(clique) > len(best):
             best = tuple(clique)
+        if len(clique) + len(cands) <= len(best):
+            return
+        ext = _extenders(links, g.r, clique, active)
         for i, v in enumerate(cands):
             if len(clique) + len(cands) - i <= len(best):
                 return
-            if _extends_clique(g, tuple(clique), v):
+            if v in ext:
                 clique.append(v)
                 extend(clique, cands[i + 1 :])
                 clique.pop()
 
-    extend([], active)
+    extend([], sorted(active))
     return best
 
 
@@ -250,7 +263,8 @@ def maximal_cliques(
     """
     if g.m == 0:
         return []
-    active = sorted({v for e in g.edges for v in e})
+    active = {v for e in g.edges for v in e}
+    links = _clique_links(g)
     found: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -259,20 +273,21 @@ def maximal_cliques(
         nodes += 1
         if nodes > CLIQUE_NODE_BUDGET:
             raise ResourceLimitError("clique enumeration node budget exceeded")
+        ext = _extenders(links, g.r, clique, active)
         extended = False
         for i, v in enumerate(cands):
-            if _extends_clique(g, tuple(clique), v):
+            if v in ext:
                 extended = True
                 clique.append(v)
                 extend(clique, cands[i + 1 :])
                 clique.pop()
-        if not extended and len(clique) >= g.r:
-            c = tuple(clique)
-            if not any(_extends_clique(g, c, v) for v in active if v not in clique):
-                found.append(c)
+        # no vertex extends a maximal clique; one of order >= r - 1 has no
+        # extenders inside it
+        if not extended and len(clique) >= g.r and not ext:
+            found.append(tuple(clique))
 
     try:
-        extend([], active)
+        extend([], sorted(active))
     except ResourceLimitError:
         found = [_max_clique_witness(g)]
     found.sort(key=lambda c: (-len(c), c))

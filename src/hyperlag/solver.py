@@ -25,10 +25,11 @@ and no unsupported vertex sees more; `kkt_residual` measures the deviation.
 Growth steps converge only like 1/k toward an optimum on a degenerate face,
 where a vertex's weight shrinks while its link value ties r times the
 objective (a clique plus extra edges through one of its vertices). So every
-row takes `GROWTH_STEPS` growth steps, and a row still moving then gets
-Newton's method on the KKT equations of its face (`_face_newton`). A row
-Newton finishes is done; any other row has its support cut and then takes
-one more growth pass of at most `MAX_GROWTH_STEPS` steps.
+row takes `GROWTH_STEPS` growth steps, and the rows still moving then get
+Newton's method on the KKT equations of their faces, as one stacked solve
+in which each row keeps its own face (`_face_newton`). A row Newton
+finishes is done; any other row has its support cut and then takes one
+more growth pass of at most `MAX_GROWTH_STEPS` steps.
 
 A left-compressed g has lambda(g) = lambda(g[K]), the core g[K] keeping the
 edges inside [K], K the largest k >= r with {1, ..., r-2, k-1, k} an edge:
@@ -310,63 +311,119 @@ def sorted_polish(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
     return _ascend(_link_matrix(g), g.r, arr[None, :], MAX_GROWTH_STEPS)[0][0]
 
 
-def _face_newton(L: np.ndarray, r: int, x0: np.ndarray) -> np.ndarray | None:
-    """A KKT point on the face of `x0`, by Newton's method, or None.
+def _pair_links(L: np.ndarray, r: int, Y: np.ndarray) -> np.ndarray:
+    """The pair-link matrices L y^(r-2) of the rows of Y, as a stack that
+    broadcasts to (B, n, n)."""
+    B, n = Y.shape
+    if r == 2:
+        return L[None]
+    M = Y @ L.reshape(n, -1)
+    for _ in range(r - 3):
+        M = np.einsum("bk,bkv->bv", Y, M.reshape(B, n, -1))
+    return M.reshape(B, n, n)
 
-    Solves d_F(x) = mu, sum(x_F) = 1 on the face F (the weights above
-    `FACE_RATIO` of the largest), whose Jacobian in x_F is the pair-link
-    matrix H = (r-1) L x^(r-2). The face shrinks when a step drives a weight
-    to zero or below (the weight that fell most, as a ratio, goes; Newton
-    restarts from x0 on the smaller face), when the system is singular (the
-    smallest weight goes) and when a converged weight is below the face
-    ratio. The point is accepted only if its KKT residual is at most
-    `KKT_TOLERANCE` and its value is at least x0's, less 1e-15.
+
+def _solve_rows(K: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Solutions of the systems K[i] x = b[i], zero for a singular K[i], and
+    the indices of the singular ones.
+
+    One singular system fails a stacked solve, so then each is solved alone.
     """
-    n = x0.size
-    face = np.flatnonzero(x0 > FACE_RATIO * x0.max())
-    while face.size:
-        k = face.size
-        x = np.zeros(n)
-        y = x0[face] / x0[face].sum()
-        K = np.zeros((k + 1, k + 1))
-        K[:k, k], K[k, :k] = -1.0, 1.0
-        res = np.empty(k + 1)
-        mu = None
-        for _ in range(40):
-            x[face] = y
-            M = L.reshape(n, -1)
-            for _ in range(r - 2):
-                M = (x @ M).reshape(n, -1)
-            MF = M[face]
-            d = MF @ x
-            mu = float(y @ d) if mu is None else mu
-            res[:k], res[k] = d - mu, y.sum() - 1.0
-            if np.abs(res).max() <= 1e-15:
-                drop = np.flatnonzero(y < FACE_RATIO * y.max())
-                break
-            K[:k, :k] = (r - 1) * MF[:, face]
-            try:
-                step = np.linalg.solve(K, -res)
-            except np.linalg.LinAlgError:
-                drop = np.argmin(y)
-                break
-            new = y + step[:k]
-            if new.min() <= 0.0:
-                drop = np.argmin(new / y)
-                break
-            y, mu = new, mu + step[k]
-        else:
-            return None
-        if not np.size(drop):
-            break
-        face = np.delete(face, drop)
-    else:
-        return None
-    x /= x.sum()
-    grad, val = _batch_grad(L, r, np.stack([x0, x]))
-    if _kkt_rows(x[None, :], grad[1:], val[1:], r)[0] > KKT_TOLERANCE:
-        return None
-    return x if val[1] >= val[0] - 1e-15 else None
+    try:
+        return np.linalg.solve(K, b[:, :, None])[:, :, 0], []
+    except np.linalg.LinAlgError:
+        x, singular = np.zeros_like(b), []
+    for i in range(len(K)):
+        try:
+            x[i] = np.linalg.solve(K[i], b[i])
+        except np.linalg.LinAlgError:
+            singular.append(i)
+    return x, singular
+
+
+def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KKT points on the faces of the rows of `X0`, by Newton's method.
+
+    Returns (Y, accepted): Y holds each accepted row's point and every other
+    row of X0 as it was. Each row solves d_F(x) = mu, sum(x_F) = 1 on its
+    face F (the weights above `FACE_RATIO` of its largest), whose Jacobian
+    in x_F is the pair-link matrix H = (r-1) L x^(r-2). A face shrinks when
+    a step drives a weight to zero or below (the weight that fell most, as
+    a ratio, goes; Newton restarts from the row's x0 on the smaller face),
+    when the system is singular (the smallest weight goes) and when a
+    converged weight is below the face ratio. A row is rejected after 40
+    iterations on one face. A point is accepted only if its KKT residual is
+    at most `KKT_TOLERANCE` and its value is at least its x0's, less 1e-15.
+
+    The rows still iterating are solved as one stack of (n+1) x (n+1)
+    systems, so each row keeps its own face, multiplier and iteration
+    count.
+    """
+    B, n = X0.shape
+    Y, done = X0.copy(), np.zeros(B, dtype=bool)
+    rows, x0 = np.arange(B), X0
+    f = x0 > FACE_RATIO * x0.max(axis=1, keepdims=True)
+    y = np.where(f, x0, 0.0)
+    y /= y.sum(axis=1, keepdims=True)
+    # a row new to its face has mu = nan, set from its first iterate there
+    mu, its, fresh = np.full(B, np.nan), np.zeros(B, dtype=np.int64), True
+    eye = np.eye(n)
+    while rows.size:
+        M = _pair_links(L, r, y)
+        d = (M @ y[:, :, None])[:, :, 0]
+        if fresh:
+            new_face = np.isnan(mu)
+            mu[new_face] = (y[new_face, None, :] @ d[new_face, :, None])[:, 0, 0]
+            fresh = False
+        # minus the residual: link values off mu on the face, and the weight sum off 1
+        rhs = np.concatenate(
+            (np.where(f, mu[:, None] - d, 0.0), 1.0 - y.sum(axis=1, keepdims=True)), axis=1
+        )
+        conv = np.abs(rhs).max(axis=1) <= 1e-15
+        # identity rows pin the weights off the face
+        K = np.zeros((rows.size, n + 1, n + 1))
+        K[:, :n, :n] = np.where(f[:, :, None] & f[:, None, :], (r - 1) * M, eye)
+        K[:, n, :n] = f
+        K[:, :n, n] = -K[:, n, :n]
+        step, singular = _solve_rows(K, rhs)
+        new = np.where(f, y + step[:, :n], 0.0)
+        stop = conv | ((new <= 0.0) & f).any(axis=1)
+        stop[singular] = True
+        leave = []
+        for i in np.flatnonzero(stop):
+            if conv[i]:
+                low = f[i] & (y[i] < FACE_RATIO * y[i].max())
+                if not low.any():
+                    Y[rows[i]], done[rows[i]] = y[i] / y[i].sum(), True
+                    leave.append(i)
+                    continue
+                f[i] &= ~low
+            else:
+                face = np.flatnonzero(f[i])
+                worst = y[i, face] if i in singular else new[i, face] / y[i, face]
+                f[i, face[np.argmin(worst)]] = False
+            if not f[i].any():
+                leave.append(i)
+                continue
+            # restart from x0 on the smaller face; the update below leaves
+            # its mu nan and its count 0
+            new[i] = np.where(f[i], x0[i], 0.0)
+            new[i] /= new[i].sum()
+            step[i, n], mu[i], its[i], fresh = 0.0, np.nan, -1, True
+        y, mu, its = new, mu + step[:, n], its + 1
+        if leave or its.max() >= 40:
+            keep = its < 40
+            keep[leave] = False
+            rows, x0, y, f, mu, its = (a[keep] for a in (rows, x0, y, f, mu, its))
+
+    fin = np.flatnonzero(done)
+    if fin.size:
+        x = Y[fin]
+        grad, val = _batch_grad(L, r, np.concatenate([X0[fin], x]))
+        k = fin.size
+        ok = (_kkt_rows(x, grad[k:], val[k:], r) <= KKT_TOLERANCE) & (val[k:] >= val[:k] - 1e-15)
+        done[fin], Y[fin[~ok]] = ok, X0[fin[~ok]]
+    return Y, done
 
 
 def _pairs_covered(g: RUniformHypergraph, support: Sequence[int]) -> bool:
@@ -393,13 +450,13 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     Trial list: the uniform weighting, then a uniform weighting on each
     maximal clique (when n <= CLIQUE_SEARCH_MAX_VERTICES), then flat-Dirichlet
     draws from one generator seeded by `config.seed`, `restarts` trials in
-    total. Each trial takes `GROWTH_STEPS` growth steps. A trial still moving
-    then gets a Newton solve on its face; if Newton's KKT point is accepted,
-    the trial is done. Every other trial gets its support minimized and runs
-    growth updates to the gain floor or `MAX_GROWTH_STEPS`. The best value
-    wins, with ties broken toward the earlier trial. If the winner's KKT
-    residual is above `KKT_TOLERANCE`, it gets one more Newton solve before
-    the sorted polish.
+    total. Each trial takes `GROWTH_STEPS` growth steps. The trials still
+    moving then get one stacked Newton solve, each on its own face; a trial
+    whose KKT point is accepted is done. Every other trial gets its support
+    minimized and runs growth updates to the gain floor or
+    `MAX_GROWTH_STEPS`. The best value wins, with ties broken toward the
+    earlier trial. If the winner's KKT residual is above `KKT_TOLERANCE`, it
+    gets one more Newton solve, as a one-row stack, before the sorted polish.
 
     A left-compressed g with K < n is solved as its core g[K] (module
     docstring) and padded to n, so the entry limits below bind on K.
@@ -455,12 +512,11 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     X0 = _starts(g, cfg)
     X1, _, _, it1 = _ascend(L, g.r, X0, GROWTH_STEPS)
 
-    # rows still moving get a face-Newton solve; an accepted row is done
+    # rows still moving get one stacked face-Newton solve; an accepted row is done
     done = np.zeros(X1.shape[0], dtype=bool)
-    for i in np.flatnonzero(it1 == GROWTH_STEPS):
-        y = _face_newton(L, g.r, X1[i])
-        if y is not None:
-            X1[i], done[i] = y, True
+    stuck = np.flatnonzero(it1 == GROWTH_STEPS)
+    if stuck.size:
+        X1[stuck], done[stuck] = _face_newton(L, g.r, X1[stuck])
 
     # support minimization: the rows Newton did not finish take one more pass
     X2 = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
@@ -480,10 +536,10 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     iterations = int(it1[best] + it2[best])
 
     if best_kkt > KKT_TOLERANCE:
-        y = _face_newton(L, g.r, best_x)
-        if y is not None:
-            best_x = y
-            best_val, best_kkt = _value_kkt(L, g.r, y)
+        y, ok = _face_newton(L, g.r, best_x[None, :])
+        if ok[0]:
+            best_x = y[0]
+            best_val, best_kkt = _value_kkt(L, g.r, best_x)
 
     if is_left_compressed(g):
         # descending reassignment never lowers the value for this class, and

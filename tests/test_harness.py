@@ -318,6 +318,20 @@ class TestWitnessIdentity:
             witnesses.append([w.hypergraph for w in rep.witnesses])
         assert witnesses == [[format_hypergraph(graphs[0])]] * 3
 
+    def test_later_larger_margin_disqualifies_an_early_near_top_witness(self, monkeypatch):
+        # graph 0 is within the tie of graph 1, but graph 3 lifts the top past
+        # graph 0's reach and leaves graph 1; graph 2 ties graph 1 and comes later
+        graphs = [colex_graph(3, m) for m in range(4, 9)]
+        ref = complete_lagrangian(4, 3)
+        margins = [0.0, 0.6e-12, 0.6e-12, 1.2e-12, -1e-9]
+        values = {g: ref + d for g, d in zip(graphs, margins)}
+        monkeypatch.setattr(
+            harness, "solve", lambda g, cfg: SimpleNamespace(value=values[g], converged=True)
+        )
+        rep = _sweep("synthetic", {}, [graphs], ref, solved("le", ref), scope="")
+        assert rep.verdict == "pass"
+        assert [w.hypergraph for w in rep.witnesses] == [format_hypergraph(graphs[1])]
+
     def test_theorem_3_1_t6_m10_unique_instance(self):
         # the only qualifying 10-edge graph swaps the top block triple for
         # the first triple through vertex 6

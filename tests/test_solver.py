@@ -39,6 +39,12 @@ from hyperlag.harness import (
 from ascent import ascent_step
 
 TRIANGLE = complete_graph(3, 2)
+# K4^3 plus three edges through vertex 1: its optimum, the clique's 1/16,
+# sits on a degenerate face, so most of its trials still move after the
+# growth steps
+SLOW = hypergraph(3, [
+    (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (1, 4, 5),
+])
 
 
 class TestEvaluate:
@@ -407,7 +413,9 @@ class TestFaceNewton:
         assert sum(steps) < 10_000
 
     def test_rejected_rows_fall_back_to_growth(self, monkeypatch):
-        monkeypatch.setattr(hyperlag.solver, "_face_newton", lambda L, r, x: None)
+        monkeypatch.setattr(
+            hyperlag.solver, "_face_newton", lambda L, r, X: (X, np.zeros(len(X), dtype=bool))
+        )
         monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", 1000)
         steps = self.growth_steps(monkeypatch)
         rep = solve(self.DENSE, HARNESS_SOLVER)
@@ -427,8 +435,10 @@ class TestFaceNewton:
         # on face {1, 2, 5} the KKT point is the start itself, but vertex 3
         # sees x1 x2 + x1 x5 = 2/9, above 3 * 1/27
         L = hyperlag.solver._link_matrix(self.DENSE)
-        x = np.array([1, 1, 0, 0, 1, 0]) / 3
-        assert hyperlag.solver._face_newton(L, 3, x) is None
+        x = np.array([[1, 1, 0, 0, 1, 0]]) / 3
+        y, accepted = hyperlag.solver._face_newton(L, 3, x)
+        assert accepted.tolist() == [False]
+        assert np.array_equal(y, x)
 
     def test_uniform_row_reaches_the_clique_through_face_drops(self):
         L = hyperlag.solver._link_matrix(self.DENSE)
@@ -436,9 +446,65 @@ class TestFaceNewton:
         x = hyperlag.solver._ascend(L, 3, uniform, hyperlag.solver.GROWTH_STEPS)[0][0]
         # all six weights are on the starting face; the twins make it singular
         assert x.min() > hyperlag.solver.FACE_RATIO * x.max()
-        y = hyperlag.solver._face_newton(L, 3, x)
-        assert np.flatnonzero(y).tolist() == [0, 1, 2, 3]
-        assert np.allclose(y, [0.25] * 4 + [0.0] * 2, rtol=0, atol=1e-15)
+        y, accepted = hyperlag.solver._face_newton(L, 3, x[None, :])
+        assert accepted.tolist() == [True]
+        assert np.flatnonzero(y[0]).tolist() == [0, 1, 2, 3]
+        assert np.allclose(y[0], [0.25] * 4 + [0.0] * 2, rtol=0, atol=1e-15)
+
+    def stuck_rows(self, g):
+        """The rows of `g`'s harness start batch still moving after the growth steps."""
+        L = hyperlag.solver._link_matrix(g)
+        X0 = hyperlag.solver._starts(g, HARNESS_SOLVER)
+        X1, _, _, its = hyperlag.solver._ascend(L, g.r, X0, hyperlag.solver.GROWTH_STEPS)
+        return X1[its == hyperlag.solver.GROWTH_STEPS]
+
+    def test_stacked_rows_match_their_one_row_solves(self):
+        # the slow graph's rows, padded with a zero weight at vertex 6, keep
+        # their faces in DENSE, whose edges at 6 they do not see
+        L = hyperlag.solver._link_matrix(self.DENSE)
+        uniform = hyperlag.solver._ascend(
+            L, 3, np.full((1, 6), 1 / 6), hyperlag.solver.GROWTH_STEPS
+        )[0]
+        slow = self.stuck_rows(SLOW)
+        X = np.vstack([
+            np.array([[1, 1, 0, 0, 1, 0]]) / 3,
+            uniform,
+            np.hstack([slow, np.zeros((len(slow), 1))]),
+        ])
+        Y, accepted = hyperlag.solver._face_newton(L, 3, X)
+        assert accepted[:2].tolist() == [False, True]
+        for x, y, ok in zip(X, Y, accepted):
+            y1, ok1 = hyperlag.solver._face_newton(L, 3, x[None, :])
+            assert ok == ok1[0]
+            assert np.allclose(y, y1[0], rtol=0, atol=1e-15)
+
+    def test_a_singular_system_does_not_fail_the_stack(self, monkeypatch):
+        # a star, whose leaves are twins: the uniform row's system is exactly
+        # singular, while the row on the edge {1, 2} is already a KKT point
+        g = hypergraph(2, [(1, 2), (1, 3)])
+        L = hyperlag.solver._link_matrix(g)
+        X = np.array([[1 / 3] * 3, [0.5, 0.5, 0.0]])
+        solve_rows, singular = hyperlag.solver._solve_rows, []
+
+        def recorded(K, b):
+            x, sing = solve_rows(K, b)
+            singular.append((len(K), sing))
+            return x, sing
+
+        monkeypatch.setattr(hyperlag.solver, "_solve_rows", recorded)
+        Y, accepted = hyperlag.solver._face_newton(L, 2, X)
+        assert singular[0] == (2, [0])
+        assert accepted.tolist() == [False, True]
+        assert np.array_equal(Y, X)
+
+    def test_one_newton_call_for_every_stuck_row(self, monkeypatch):
+        assert len(self.stuck_rows(SLOW)) >= 11
+        calls = counting(monkeypatch, "_face_newton")
+        rep = solve(SLOW, HARNESS_SOLVER)
+        assert rep.value == 0.0625
+        # one call on the stuck rows, and at most one on the winner
+        assert len(calls) <= 2
+        assert len(calls[0][2]) == len(self.stuck_rows(SLOW))
 
     def test_r4_solve_whose_every_row_newton_finishes(self):
         # K5^4 plus four edges through 1 and 6: vertex 6 sees 4/125, tying
