@@ -8,6 +8,7 @@ C(t, r) r-sets are exactly the r-subsets of {1, ..., t}.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -45,6 +46,12 @@ def _colex_key(a: RSet) -> RSet:
     their symmetric difference, so lexicographic order on it is colex order.
     """
     return a[::-1]
+
+
+def colex_sets(n: int, r: int) -> list[RSet]:
+    """Every r-subset of {1, ..., n}, in colex order."""
+    # Descending tuples in lexicographic order run through colex order backwards.
+    return [c[::-1] for c in combinations(range(n, 0, -1), r)][::-1]
 
 
 def colex_unrank(rank: int, r: int) -> RSet:

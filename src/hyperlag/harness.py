@@ -23,11 +23,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .colex import colex_rank, colex_unrank
+from .colex import colex_rank, colex_sets, colex_unrank
 from .errors import ResourceLimitError
 from .hypergraph import (
     RUniformHypergraph,
@@ -40,7 +39,6 @@ from .solver import (
     SolverConfig,
     complete_lagrangian,
     complete_lagrangian_exact,
-    evaluate_exact,
     solve,
 )
 
@@ -133,8 +131,7 @@ def enumerate_left_compressed(
             f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
         )
 
-    # Descending tuples in lexicographic order run through colex order backwards.
-    elements = [c[::-1] for c in combinations(range(n_eff, 0, -1), r)][::-1]
+    elements = colex_sets(n_eff, r)
     rank_of = {e: k for k, e in enumerate(elements, start=1)}
     dd = [()] + [
         tuple(rank_of[d] for d in _direct_descendants(e)) for e in elements
@@ -306,13 +303,6 @@ def _sweep(
         rows=tuple(rows),
         scope=scope,
     )
-
-
-def _split_weighting(g: RUniformHypergraph, t: int) -> tuple[Fraction, Fraction]:
-    """The split weighting's value on g (the last two of t vertices at half
-    weight) and the complete-graph value on t - 1 vertices, both exact."""
-    weights = [Fraction(1, t - 1)] * (t - 2) + [Fraction(1, 2 * (t - 1))] * 2
-    return evaluate_exact(g, weights), complete_lagrangian_exact(t - 1, g.r)
 
 
 def _default_m_values(lo: int, hi: int, r: int, t: int) -> list[int]:
@@ -556,7 +546,11 @@ def run_claim(
 
     def measure(g: RUniformHypergraph) -> tuple[float, str]:
         if spec.instances == "split-weighting":
-            value, exact = _split_weighting(g, t)
+            # vertices t-1 and t split one weight 1/(t-1) of K_{t-1}^r, whose
+            # edges through t-1 each have a twin through t; only the last
+            # edge {1, ..., r-2, t-1, t} adds: (1/(t-1))^(r-2) (1/(2(t-1)))^2
+            exact = complete_lagrangian_exact(t - 1, r)
+            value = exact + Fraction(1, 4 * (t - 1) ** r)
             return float(value), judge(value, exact, True)
         rep = solve(g, cfg)
         return rep.value, judge(rep.value, reference, rep.converged)

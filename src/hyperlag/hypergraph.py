@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .colex import RSet, _colex_key, rset
+from .colex import RSet, _colex_key, colex_sets, rset
 from .errors import ParseError, ResourceLimitError
 
 CLIQUE_SEARCH_MAX_VERTICES = 20
@@ -80,9 +80,8 @@ def colex_graph(r: int, m: int) -> RUniformHypergraph:
         raise ValueError(f"edge count must be >= 1, got {m}")
     from .colex import colex_unrank
 
-    edges = tuple(colex_unrank(k, r) for k in range(1, m + 1))
-    n = max(e[-1] for e in edges)
-    return RUniformHypergraph(r, n, edges)
+    n = colex_unrank(m, r)[-1]
+    return RUniformHypergraph(r, n, tuple(colex_sets(n, r)[:m]))
 
 
 def link(
@@ -115,19 +114,13 @@ def link(
         if difference_against in pins:
             raise ValueError("difference_against must differ from the pinned vertex")
 
-    excluded = set(pins)
+    members = {tuple(v for v in e if v not in pins) for e in g.edges if pins.issubset(e)}
+    if complemented:
+        others = [v for v in range(1, g.n + 1) if v not in pins]
+        return frozenset(combinations(others, g.r - len(pins))) - members
     if difference_against is not None:
-        excluded.add(difference_against)
-    size = g.r - len(pins)
-    others = [v for v in range(1, g.n + 1) if v not in excluded]
-    members = []
-    for combo in combinations(others, size):
-        is_edge = tuple(sorted((*combo, *pins))) in g.edge_set
-        if difference_against is not None:
-            if is_edge and tuple(sorted(combo + (difference_against,))) not in g.edge_set:
-                members.append(combo)
-        elif is_edge != complemented:
-            members.append(combo)
+        j = difference_against
+        members = {a for a in members if j not in a and tuple(sorted((*a, j))) not in g.edge_set}
     return frozenset(members)
 
 

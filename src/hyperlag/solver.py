@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class SolveReport:
     condition at minimal-support optima.
 
     For a left-compressed g solved on its core g[K], both weightings are
-    padded with zeros to n; `kkt_residual`, `converged` and `pairs_covered`
-    are those of g.
+    padded with zeros to n; `kkt_residual` and `converged` are those of g,
+    and `pairs_covered` is the core's, which is g's as well.
     """
 
     value: float
@@ -187,22 +187,6 @@ def evaluate_exact(g: RUniformHypergraph, weights: Sequence) -> Fraction:
         p = Fraction(1)
         for v in e:
             p *= w[v - 1]
-        total += p
-    return total
-
-
-def link_value(
-    g: RUniformHypergraph, sets: Iterable[Sequence[int]], x: Sequence[float]
-) -> float:
-    """Sum over the member sets (as from `link`) of the product of their weights."""
-    arr = _as_weights(g, x)
-    total = 0.0
-    for s in sets:
-        p = 1.0
-        for v in s:
-            if not 1 <= v <= g.n:
-                raise IndexError(f"vertex {v} outside [1, {g.n}]")
-            p *= arr[v - 1]
         total += p
     return total
 
@@ -476,11 +460,11 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     w = rep.weighting + (0.0,) * (g.n - k)
     kkt = _edge_kkt(g, np.asarray(w))
     # the core's Motzkin-Straus check holds for g, which has its clique
-    # order, and g covers every pair its core covers
+    # order; a pair of [K] in an edge of g is in that edge's least
+    # descendant through the pair, an edge inside [K], so g[K] covers it
     return replace(
         rep, weighting=w, raw_weighting=rep.raw_weighting + w[k:], kkt_residual=kkt,
         converged=rep.converged and kkt <= KKT_TOLERANCE,
-        pairs_covered=rep.pairs_covered or _pairs_covered(g, rep.support),
     )
 
 

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "lc_max_clique_order",
     "left_compress",
     "link",
-    "link_value",
     "max_clique_order",
     "maximal_cliques",
     "motzkin_straus_value",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "rset",
     "run_claim",
     "solve",
-    "sorted_polish",
 ]
 
 

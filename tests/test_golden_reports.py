@@ -33,7 +33,10 @@ CASES = [
     ("lemma-2.2", {"r": 3, "t": 5}),
     ("lemma-2.2", {"r": 2, "t": 4}),
     ("lemma-2.2", {"r": 4, "t": 7}),
+    ("lemma-2.2", {"r": 3, "t": 8}),
     ("sharpness", {"r": 3, "t": 6}),
+    ("sharpness", {"r": 2, "t": 10}),
+    ("sharpness", {"r": 4, "t": 9}),
     ("conjecture-2.1", {"t": 5}),
     ("conjecture-2.2", {"t": 5}),
     ("conjecture-2.2", {"t": 6, "m": 10}),

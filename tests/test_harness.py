@@ -17,6 +17,7 @@ from hyperlag import (
     complete_lagrangian,
     complete_lagrangian_exact,
     enumerate_left_compressed,
+    evaluate_exact,
     format_hypergraph,
     hypergraph,
     is_left_compressed,
@@ -161,6 +162,17 @@ class TestVerifiers:
         rep = run_claim("sharpness", t=7, r=3)
         assert rep.verdict == "pass"
         assert rep.rows[0].margin > 1e-4
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_sharpness_closed_form_is_the_split_weighting(self, r):
+        # the last two of t vertices at half weight, summed edge by edge on
+        # the colex prefix one edge past the stable range
+        for t in range(r + 2, r + 12):
+            g = colex_graph(r, CLAIMS["sharpness"].m_range(t, r)[0])
+            weights = [Fraction(1, t - 1)] * (t - 2) + [Fraction(1, 2 * (t - 1))] * 2
+            closed = complete_lagrangian_exact(t - 1, r) + Fraction(1, 4 * (t - 1) ** r)
+            assert evaluate_exact(g, weights) == closed
+            assert run_claim("sharpness", t=t, r=r).rows[0].value == float(closed)
 
     def test_conjecture_with_clique_3_5_4(self):
         # m = C(4,3) forces the clique itself as the only instance

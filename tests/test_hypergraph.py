@@ -9,6 +9,7 @@ from hyperlag import (
     ParseError,
     ResourceLimitError,
     colex_graph,
+    colex_unrank,
     complete_graph,
     descendants,
     enumerate_left_compressed,
@@ -83,6 +84,13 @@ class TestConstructors:
         assert colex_graph(3, 10) == complete_graph(5, 3)
         assert colex_graph(2, 1).edges == ((1, 2),)
         assert colex_graph(2, 1).n == 2
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_colex_graph_is_the_first_m_ranks(self, r):
+        for m in [*range(1, 40), 83, 126, 127, 300]:
+            g = colex_graph(r, m)
+            assert g.edges == tuple(colex_unrank(k, r) for k in range(1, m + 1))
+            assert g.n == g.edges[-1][-1]
 
     def test_colex_prefix_equals_complete(self):
         for r in (2, 3, 4):

@@ -1,5 +1,6 @@
 """Property suites: order-theoretic invariants and solver guarantees."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +21,6 @@ from hyperlag import (
     kkt_residual,
     left_compress,
     link,
-    link_value,
     motzkin_straus_value,
     solve,
 )
@@ -29,6 +29,10 @@ from hyperlag.solver import _batch_grad, _link_matrix
 from ascent import ascent_step
 
 FAST = SolverConfig(restarts=8)
+
+
+def link_value(sets, x):  # the member sets' weight products, summed
+    return sum(math.prod(x[v - 1] for v in s) for s in sets)
 
 
 @st.composite
@@ -124,6 +128,34 @@ def labelled_graphs(draw):
     return hypergraph(r, [[label[v] for v in e] for e in edges], n=n)
 
 
+def link_by_scan(g, pins, complemented=False, difference_against=None):
+    """`link` by testing every (r - |pins|)-subset of the other vertices."""
+    j = difference_against
+    others = [v for v in range(1, g.n + 1) if v not in pins and v != j]
+    members = set()
+    for combo in combinations(others, g.r - len(pins)):
+        is_edge = tuple(sorted((*combo, *pins))) in g.edge_set
+        if j is not None:
+            if is_edge and tuple(sorted((*combo, j))) not in g.edge_set:
+                members.add(combo)
+        elif is_edge != complemented:
+            members.add(combo)
+    return frozenset(members)
+
+
+@given(graphs(max_n=9, rs=(2, 3, 4)))
+@settings(max_examples=40, deadline=None)
+def test_link_matches_subset_scan(g):
+    vertices = range(1, g.n + 1)
+    for pins in [*combinations(vertices, 1), *combinations(vertices, 2)]:
+        for complemented in (False, True):
+            assert link(g, pins, complemented) == link_by_scan(g, pins, complemented)
+        for j in vertices:
+            if len(pins) == 1 and j not in pins:
+                got = link(g, pins, difference_against=j)
+                assert got == link_by_scan(g, pins, difference_against=j)
+
+
 @given(labelled_graphs(), st.sampled_from([1, 16]), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_link_identities(g, batch, seed):
@@ -131,7 +163,7 @@ def test_kernel_matches_link_identities(g, batch, seed):
     X = np.random.default_rng(seed).dirichlet(np.ones(g.n), size=batch)
     grad, vals = _batch_grad(_link_matrix(g), g.r, X)
     for x, d, v in zip(X, grad, vals):
-        links = [link_value(g, link(g, [i]), x) for i in range(1, g.n + 1)]
+        links = [link_value(link(g, [i]), x) for i in range(1, g.n + 1)]
         np.testing.assert_allclose(d, links, rtol=1e-12, atol=0)
         np.testing.assert_allclose(v, evaluate(g, x), rtol=1e-12, atol=0)
     # the uniform weighting of a complete graph is a first-order optimum
@@ -206,10 +238,8 @@ def test_difference_identity_at_optima(m):
             continue
         x = rep.weighting
         for i, j in combinations(support, 2):
-            lhs = (x[i - 1] - x[j - 1]) * link_value(
-                g, link(g, {i, j}), x
-            )
-            rhs = link_value(g, link(g, {i}, difference_against=j), x)
+            lhs = (x[i - 1] - x[j - 1]) * link_value(link(g, {i, j}), x)
+            rhs = link_value(link(g, {i}, difference_against=j), x)
             assert abs(lhs - rhs) <= 1e-6
 
 
