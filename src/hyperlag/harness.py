@@ -195,8 +195,8 @@ def lc_max_clique_order(g: RUniformHypergraph) -> int:
     return best
 
 
-def _edge_hash(g: RUniformHypergraph) -> str:
-    return hashlib.sha256(format_hypergraph(g).encode()).hexdigest()[:12]
+def _edge_hash(text: str) -> str:  # of a graph's `format_hypergraph` text
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _float_verdict(holds: Callable[[float, float], bool]) -> Callable[..., str]:
@@ -254,11 +254,12 @@ def _sweep(
     the last bits of the values does not pick the witness. A sweep with no
     instances at all is inconclusive, never a pass.
 
-    Of the passing graphs only the possible witnesses are kept: those whose
-    margin is above every earlier one and within `_WITNESS_TIE` of the
-    largest so far. A later graph with a margin no larger than an earlier
-    one's could be the witness only if that earlier one is too far below
-    the top, and then so is it.
+    Each graph is formatted once, for its row's hash and for a witness. Of
+    the passing graphs only the texts of the possible witnesses are kept:
+    those whose margin is above every earlier one and within `_WITNESS_TIE`
+    of the largest so far. A later graph with a margin no larger than an
+    earlier one's could be the witness only if that earlier one is too far
+    below the top, and then so is it.
     """
     t0 = time.perf_counter()
     rows: list[InstanceRow] = []
@@ -266,22 +267,21 @@ def _sweep(
     for graphs in groups:
         found: list[Witness] = []
         # possible witnesses, margins rising; the first is the witness so far
-        passed: list[tuple[float, RUniformHypergraph, float]] = []
+        passed: list[tuple[float, str, float]] = []
         for g in graphs:
             value, verdict = measure(g)
             margin = value - reference
-            rows.append(
-                InstanceRow(g.m, _edge_hash(g), value, reference, margin, verdict)
-            )
+            text = format_hypergraph(g)
+            rows.append(InstanceRow(g.m, _edge_hash(text), value, reference, margin, verdict))
             if verdict != "pass":
                 if len(found) < _MAX_WITNESSES:
-                    found.append(Witness(format_hypergraph(g), value, reference, margin))
+                    found.append(Witness(text, value, reference, margin))
             elif not passed or margin > passed[-1][0]:
                 passed = [p for p in passed if p[0] >= margin - _WITNESS_TIE]
-                passed.append((margin, g, value))
+                passed.append((margin, text, value))
         if not found and passed:
-            margin, g, value = passed[0]
-            found.append(Witness(format_hypergraph(g), value, reference, margin))
+            margin, text, value = passed[0]
+            found.append(Witness(text, value, reference, margin))
         witnesses.extend(found)
     verdicts = {row.verdict for row in rows}
     if not rows:

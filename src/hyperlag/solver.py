@@ -15,8 +15,9 @@ seed does not depend on scheduling.
 
 The link values come from one dense matrix per graph: the link tensor, with
 a 1/(r-1)! entry for each ordering of each edge, as an (n^(r-1), n) matrix.
-One step is one kernel call: an outer power of the weights times that
-matrix gives every link value, and the objective is x . d / r.
+One kernel, `_pair_links`, multiplies an outer power of the weights by it:
+the pair-link matrices L x^(r-2) are Newton's Jacobian up to r-1, and one
+more contraction with x gives the link values d; the objective is x . d / r.
 
 First-order optimality at a weighting with minimal support means every
 supported vertex sees the same link value, equal to r times the objective,
@@ -26,8 +27,8 @@ Growth steps converge only like 1/k toward an optimum on a degenerate face,
 where a vertex's weight shrinks while its link value ties r times the
 objective (a clique plus extra edges through one of its vertices). So every
 row takes `GROWTH_STEPS` growth steps, and the rows still moving then get
-Newton's method on the KKT equations of their faces, as one stacked solve
-in which each row keeps its own face (`_face_newton`). A row Newton
+Newton's method on the KKT equations of their faces, as stacked solves in
+which each row keeps its own face (`_face_newton`). A row Newton
 finishes is done; any other row has its support cut and then takes one
 more growth pass of at most `MAX_GROWTH_STEPS` steps.
 
@@ -35,6 +36,7 @@ A left-compressed g has lambda(g) = lambda(g[K]), the core g[K] keeping the
 edges inside [K], K the largest k >= r with {1, ..., r-2, k-1, k} an edge:
 a least-support optimum covers its pairs (Frankl-Rodl 1984) and may be
 sorted (`sorted_polish`), so its support [k] covers {k-1, k}, and k <= K.
+The core's report, padded with zeros, is g's (`SolveReport`).
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ MAX_GROWTH_STEPS = 50_000
 FACE_RATIO = 1e-4
 #: Weights at or below this are off the support.
 SUPPORT_THRESHOLD = 1e-9
-#: Most entries a link matrix or a start batch's gradient holds, 8 MB of float64.
+#: Most entries a link matrix, a start batch's gradient or a chunk of
+#: face-Newton systems holds, 8 MB of float64.
 MAX_LINK_ENTRIES = 1_000_000
 #: Most reports `solve` keeps, dropping the least recently used first.
 SOLVE_MEMO_SIZE = 4096
@@ -108,9 +111,12 @@ class SolveReport:
     every pair of supported vertices lies in a common edge, a necessary
     condition at minimal-support optima.
 
-    For a left-compressed g solved on its core g[K], both weightings are
-    padded with zeros to n; `kkt_residual` and `converged` are those of g,
-    and `pairs_covered` is the core's, which is g's as well.
+    For a left-compressed g solved on its core g[K], the report is the
+    core's, both weightings padded with zeros to n, and it holds for g: no
+    edge of g holds two vertices >= K, so for v > K each A with A + v an
+    edge lies in [K-1], A + K is an edge too, and v's link value is at most
+    K's. So g's residual is the core's, save that a supported K's own gap
+    can count twice, so at most double it.
     """
 
     value: float
@@ -194,21 +200,26 @@ def evaluate_exact(g: RUniformHypergraph, weights: Sequence) -> Fraction:
 def _batch_grad(L: np.ndarray, r: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Link values at every vertex and objective values, per batch row.
 
-    One matmul contracts the outer power of degree d = max(1, r-2) of each
-    row with the link tensor viewed as (n^d, n^(r-d)); an index left over
-    (r >= 3) is contracted with the row itself. Stopping one degree short
-    keeps the outer power at n^(r-2) entries per row; at r = 4 the one-stage
-    form, with n^3 entries per row, was two to three times slower.
+    At r >= 3 the pair links `_pair_links` builds are contracted once more
+    with the row itself. Stopping one degree short keeps the outer power at
+    n^(r-2) entries per row; at r = 4 the one-stage form, with n^3 entries
+    per row, was two to three times slower.
     """
-    B, n = X.shape
-    d = max(1, r - 2)
-    P = X
-    for k in range(2, d + 1):
-        P = (P[:, :, None] * X[:, None, :]).reshape(B, n**k)
-    grad = P @ L.reshape(n**d, -1)
-    if d < r - 1:
-        grad = np.einsum("bk,bkv->bv", X, grad.reshape(B, n, n))
+    grad = X @ L if r == 2 else np.einsum("bk,bkv->bv", X, _pair_links(L, r, X))
     return grad, np.einsum("bv,bv->b", X, grad) / r
+
+
+def _pair_links(L: np.ndarray, r: int, Y: np.ndarray) -> np.ndarray:
+    """The pair-link matrices L y^(r-2) of the rows of Y, broadcasting to
+    (B, n, n): L at r = 2, else one matmul of each row's outer power of
+    degree r-2 with L viewed as (n^(r-2), n^2)."""
+    B, n = Y.shape
+    if r == 2:
+        return L[None]
+    P = Y
+    for k in range(2, r - 1):
+        P = (P[:, :, None] * Y[:, None, :]).reshape(B, n**k)
+    return (P @ L.reshape(n ** (r - 2), n * n)).reshape(B, n, n)
 
 
 def _ascend(
@@ -246,22 +257,17 @@ def kkt_residual(g: RUniformHypergraph, x: Sequence[float]) -> float:
     """Deviation from first-order optimality.
 
     Largest gap between a supported vertex's link value and r times the
-    objective, plus any excess link value at unsupported vertices.
+    objective, plus any excess link value at unsupported vertices, summed
+    over the edge list in O(m r), so for any n.
     """
     arr = _as_weights(g, x)
     _check_feasible(arr)
-    return _edge_kkt(g, arr)
-
-
-def _edge_kkt(g: RUniformHypergraph, x: np.ndarray) -> float:
-    """KKT residual in O(m r): each edge adds the product of its other
-    weights to the link value of each of its vertices."""
     eidx = _edge_index(g)
-    w, cols = x[eidx], np.arange(g.r)
+    w, cols = arr[eidx], np.arange(g.r)
     others = np.stack([w[:, cols != j].prod(axis=1) for j in cols], axis=1)
     grad = np.bincount(eidx.ravel(), others.ravel(), minlength=g.n)
-    val = np.array([x @ grad / g.r])
-    return float(_kkt_rows(x[None, :], grad[None, :], val, g.r)[0])
+    val = np.array([arr @ grad / g.r])
+    return float(_kkt_rows(arr[None, :], grad[None, :], val, g.r)[0])
 
 
 def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.ndarray:
@@ -293,18 +299,6 @@ def sorted_polish(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
     _check_feasible(arr)
     arr = np.sort(arr)[::-1].copy()
     return _ascend(_link_matrix(g), g.r, arr[None, :], MAX_GROWTH_STEPS)[0][0]
-
-
-def _pair_links(L: np.ndarray, r: int, Y: np.ndarray) -> np.ndarray:
-    """The pair-link matrices L y^(r-2) of the rows of Y, as a stack that
-    broadcasts to (B, n, n)."""
-    B, n = Y.shape
-    if r == 2:
-        return L[None]
-    M = Y @ L.reshape(n, -1)
-    for _ in range(r - 3):
-        M = np.einsum("bk,bkv->bv", Y, M.reshape(B, n, -1))
-    return M.reshape(B, n, n)
 
 
 def _solve_rows(K: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -449,7 +443,8 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
     returns the same frozen report, or pads it anew. Errors are not
     memoized. Raises ResourceLimitError, before building the trials, when
-    their gradient would hold more than `MAX_LINK_ENTRIES` entries.
+    their gradient would hold more than `MAX_LINK_ENTRIES` entries; the
+    Newton solve runs in chunks that fit it.
     """
     cfg = config or SolverConfig()
     head = tuple(range(1, g.r - 1))
@@ -457,15 +452,14 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     if k == g.n or not is_left_compressed(g):
         return _solve(g, cfg)
     rep = _solve(RUniformHypergraph(g.r, k, tuple(e for e in g.edges if e[-1] <= k)), cfg)
-    w = rep.weighting + (0.0,) * (g.n - k)
-    kkt = _edge_kkt(g, np.asarray(w))
-    # the core's Motzkin-Straus check holds for g, which has its clique
-    # order; a pair of [K] in an edge of g is in that edge's least
-    # descendant through the pair, an edge inside [K], so g[K] covers it
-    return replace(
-        rep, weighting=w, raw_weighting=rep.raw_weighting + w[k:], kkt_residual=kkt,
-        converged=rep.converged and kkt <= KKT_TOLERANCE,
-    )
+    # the core's report, padded, is g's: an edge with (r-1)th vertex e >= K
+    # would push down to {1, ..., r-2, e, e+1} and make K larger, so a v > K
+    # has its link inside [K-1] and inside K's, and d_v(w) <= d_K(w). The
+    # core's Motzkin-Straus check holds for g, which has its clique order; a
+    # pair of [K] in an edge of g is in that edge's least descendant through
+    # the pair, an edge inside [K], so g[K] covers it
+    pad = (0.0,) * (g.n - k)
+    return replace(rep, weighting=rep.weighting + pad, raw_weighting=rep.raw_weighting + pad)
 
 
 @lru_cache(maxsize=SOLVE_MEMO_SIZE)
@@ -486,7 +480,8 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
             pairs_covered=False,
         )
 
-    # the gradient `_batch_grad` returns, the batch's largest array at r <= 4
+    # the gradient `_batch_grad` returns, the batch's largest array at r <= 4;
+    # at r >= 5 the outer power of `_pair_links`, n^(r-2) per row, is larger
     k = min(g.r - 1, 2)
     if cfg.restarts * n**k > MAX_LINK_ENTRIES:
         raise ResourceLimitError(
@@ -496,11 +491,14 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     X0 = _starts(g, cfg)
     X1, _, _, it1 = _ascend(L, g.r, X0, GROWTH_STEPS)
 
-    # rows still moving get one stacked face-Newton solve; an accepted row is done
+    # rows still moving get stacked face-Newton solves, in chunks that fit
+    # the entry limit; an accepted row is done
     done = np.zeros(X1.shape[0], dtype=bool)
     stuck = np.flatnonzero(it1 == GROWTH_STEPS)
-    if stuck.size:
-        X1[stuck], done[stuck] = _face_newton(L, g.r, X1[stuck])
+    chunk = max(1, MAX_LINK_ENTRIES // max((n + 1) ** 2, n ** (g.r - 2)))
+    for i in range(0, stuck.size, chunk):
+        rows = stuck[i : i + chunk]
+        X1[rows], done[rows] = _face_newton(L, g.r, X1[rows])
 
     # support minimization: the rows Newton did not finish take one more pass
     X2 = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)

@@ -344,6 +344,19 @@ class TestWitnessIdentity:
         assert rep.verdict == "pass"
         assert [w.hypergraph for w in rep.witnesses] == [format_hypergraph(graphs[1])]
 
+    def test_each_instance_is_formatted_once(self, monkeypatch):
+        # one text per graph serves its row's edge hash and any witness
+        fmt, calls = harness.format_hypergraph, []
+
+        def counted(g):
+            calls.append(g)
+            return fmt(g)
+
+        monkeypatch.setattr(harness, "format_hypergraph", counted)
+        rep = run_claim("theorem-5.1", t=5)
+        assert rep.witnesses
+        assert len(calls) == rep.instances_checked > 0
+
     def test_theorem_3_1_t6_m10_unique_instance(self):
         # the only qualifying 10-edge graph swaps the top block triple for
         # the first triple through vertex 6

@@ -25,7 +25,7 @@ from hyperlag import (
     solve,
 )
 from hyperlag.hypergraph import _direct_descendants
-from hyperlag.solver import _batch_grad, _link_matrix
+from hyperlag.solver import _batch_grad, _link_matrix, _pair_links
 from ascent import ascent_step
 
 FAST = SolverConfig(restarts=8)
@@ -159,13 +159,21 @@ def test_link_matches_subset_scan(g):
 @given(labelled_graphs(), st.sampled_from([1, 16]), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_link_identities(g, batch, seed):
-    # d_i(x) is the value of the link of i, and the objective is the edge sum
+    # d_i(x) is the value of the link of i, the objective is the edge sum, and
+    # (r-1) L x^(r-2) holds the value of the link of {i, j} off the diagonal
     X = np.random.default_rng(seed).dirichlet(np.ones(g.n), size=batch)
     grad, vals = _batch_grad(_link_matrix(g), g.r, X)
-    for x, d, v in zip(X, grad, vals):
-        links = [link_value(link(g, [i]), x) for i in range(1, g.n + 1)]
+    pair = np.broadcast_to(_pair_links(_link_matrix(g), g.r, X), (batch, g.n, g.n))
+    vertices = range(1, g.n + 1)
+    for x, d, v, h in zip(X, grad, vals, pair):
+        links = [link_value(link(g, [i]), x) for i in vertices]
         np.testing.assert_allclose(d, links, rtol=1e-12, atol=0)
         np.testing.assert_allclose(v, evaluate(g, x), rtol=1e-12, atol=0)
+        pairs = [
+            [link_value(link(g, [i, j]), x) if i != j else 0.0 for j in vertices]
+            for i in vertices
+        ]
+        np.testing.assert_allclose((g.r - 1) * h, pairs, rtol=1e-12, atol=0)
     # the uniform weighting of a complete graph is a first-order optimum
     assert kkt_residual(complete_graph(g.n, g.r), np.full(g.n, 1 / g.n)) <= 1e-14
 

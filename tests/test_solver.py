@@ -17,6 +17,7 @@ from hyperlag import (
     enumerate_left_compressed,
     evaluate,
     evaluate_exact,
+    format_hypergraph,
     hypergraph,
     is_left_compressed,
     kkt_residual,
@@ -333,8 +334,24 @@ class TestCoreReduction:
             assert rep.value == pytest.approx(uncut.value, abs=1e-12)
             assert not any(rep.weighting[k:])
             assert kkt_residual(g, rep.weighting) <= hyperlag.solver.KKT_TOLERANCE
+            # the padded report's residual is the core's, up to rounding
+            assert abs(kkt_residual(g, rep.weighting) - rep.kkt_residual) <= 1e-15
             assert rep.pairs_covered
             assert rep.pairs_covered == _pairs_covered(g, rep.support)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_vertices_past_the_core_link_inside_its_last_vertex(self, r):
+        # no edge holds two vertices >= K, so each v > K has its link inside
+        # [K-1] and inside K's, and sees no more than K at a padded weighting
+        past = 0
+        for g in (g for m in range(1, 11) for g in enumerate_left_compressed(r, m, 9)):
+            k = core_order(g)
+            assert all(e[-2] < k for e in g.edges)
+            for v in range(k + 1, g.n + 1):
+                members = link(g, [v])
+                assert members <= link(g, [k])
+                past += bool(members)
+        assert past > 0
 
     def test_one_start_batch_per_distinct_core(self, monkeypatch):
         graphs = claim_graphs("conjecture-2.2", 6)
@@ -504,6 +521,24 @@ class TestFaceNewton:
         assert len(calls) <= 2
         assert len(calls[0][2]) == len(self.stuck_rows(SLOW))
 
+    def test_newton_stacks_fit_the_entry_limit(self, monkeypatch):
+        # the slow graph's start batch needs 16 * 5^2 = 400 entries, and its
+        # 12 stuck rows would stack 12 * 6^2 = 432 entries of Newton systems
+        assert len(self.stuck_rows(SLOW)) == 12
+        full = solve(SLOW, HARNESS_SOLVER)
+        solve.cache_clear()
+        monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", 400)
+        solve_rows, sizes = hyperlag.solver._solve_rows, []
+
+        def recorded(K, b):
+            sizes.append(K.size)
+            return solve_rows(K, b)
+
+        monkeypatch.setattr(hyperlag.solver, "_solve_rows", recorded)
+        rep = solve(SLOW, HARNESS_SOLVER)
+        assert 0 < max(sizes) <= 400
+        assert (rep.value, rep.converged) == (full.value, full.converged)
+
     def test_r4_solve_whose_every_row_newton_finishes(self):
         # K5^4 plus four edges through 1 and 6: vertex 6 sees 4/125, tying
         # 4 * 1/125, so the one row is still moving after the growth steps
@@ -521,7 +556,7 @@ class TestFaceNewton:
         spec = CLAIMS["theorem-4.3"]
         (g,) = (
             g for g in _left_compressed_instances(spec, 12, 4, 340)
-            if _edge_hash(g) == "6edecbd35264"
+            if _edge_hash(format_hypergraph(g)) == "6edecbd35264"
         )
         rep = solve(g, HARNESS_SOLVER)
         assert rep.converged
