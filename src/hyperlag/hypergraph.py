@@ -166,25 +166,27 @@ def is_left_compressed(g: RUniformHypergraph) -> bool:
 def left_compress(g: RUniformHypergraph) -> RUniformHypergraph:
     """Push edges down the dominance order until the edge set is a down-set.
 
-    Repeatedly replaces the colex-largest edge that has a missing descendant
-    by its colex-smallest missing descendant. Edge count is preserved and the
-    result is left-compressed; already-compressed graphs come back unchanged.
+    Replaces the colex-largest edge that has a missing descendant by its
+    colex-smallest missing descendant until none is left; edge count is
+    preserved, and already-compressed graphs come back unchanged. One pass
+    down the original edges from the colex top does it. A closed edge, one
+    with every descendant, stays closed: a replaced edge has a missing
+    descendant, so it is no closed edge's descendant. A replacement is
+    closed, so it is never replaced: its descendants lie below the replaced
+    edge and colex before the replacement, so they are edges.
     """
-    if is_left_compressed(g):
+    edges, closed = set(g.edges), set()
+    for e in g.edges:  # colex order: each direct descendant comes first
+        if all(d in closed for d in _direct_descendants(e)):
+            closed.add(e)
+    if len(closed) == g.m:
         return g
-    edges = set(g.edges)
-    while True:
-        offender = None
-        for e in sorted(edges, key=_colex_key, reverse=True):
-            missing = [d for d in descendants(e) if d not in edges]
-            if missing:
-                offender = e
-                replacement = min(missing, key=_colex_key)
-                break
-        if offender is None:
-            break
-        edges.remove(offender)
-        edges.add(replacement)
+    for e in reversed(g.edges):
+        missing = [] if e in closed else [d for d in descendants(e) if d not in edges]
+        if missing:
+            d = min(missing, key=_colex_key)
+            edges.remove(e)
+            edges.add(d)
     return RUniformHypergraph(g.r, g.n, tuple(edges))
 
 

@@ -37,6 +37,11 @@ edges inside [K], K the largest k >= r with {1, ..., r-2, k-1, k} an edge:
 a least-support optimum covers its pairs (Frankl-Rodl 1984) and may be
 sorted (`sorted_polish`), so its support [k] covers {k-1, k}, and k <= K.
 The core's report, padded with zeros, is g's (`SolveReport`).
+
+A 2-graph on at most `CLIQUE_SEARCH_MAX_VERTICES` vertices takes no ascent:
+its value is (1/2)(1 - 1/omega), omega its clique order (Motzkin-Straus 1965),
+at the uniform weighting on a maximum clique, [omega] if g is left-compressed.
+A clique vertex sees (omega-1)/omega there, and a vertex off it no more.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .errors import ResourceLimitError
 from .hypergraph import (
     CLIQUE_SEARCH_MAX_VERTICES,
     RUniformHypergraph,
+    _max_clique_witness,
     is_left_compressed,
     max_clique_order,
     maximal_cliques,
@@ -85,8 +91,8 @@ SOLVE_MEMO_SIZE = 4096
 class SolverConfig:
     """Multistart size, and the seed of one generator for every Dirichlet start.
 
-    Clique starts run, and 2-graphs are checked against Motzkin-Straus, on
-    graphs with at most `CLIQUE_SEARCH_MAX_VERTICES` vertices.
+    Clique starts run on graphs with at most `CLIQUE_SEARCH_MAX_VERTICES`
+    vertices; 2-graphs that small take no trial, so ignore both fields.
     """
 
     restarts: int = 64
@@ -437,14 +443,16 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     gets one more Newton solve, as a one-row stack, before the sorted polish.
 
     A left-compressed g with K < n is solved as its core g[K] (module
-    docstring) and padded to n, so the entry limits below bind on K.
+    docstring) and padded to n, so the entry limits below bind on K. A
+    2-graph with edges and n <= CLIQUE_SEARCH_MAX_VERTICES runs no trial: it
+    reports its closed form (module docstring), whatever the config.
 
     Reports are memoized on the solved graph and the config (None meaning
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
     returns the same frozen report, or pads it anew. Errors are not
     memoized. Raises ResourceLimitError, before building the trials, when
-    their gradient would hold more than `MAX_LINK_ENTRIES` entries; the
-    Newton solve runs in chunks that fit it.
+    their gradient or, at r >= 5, outer power would hold more than
+    `MAX_LINK_ENTRIES` entries; the Newton solve runs in chunks that fit it.
     """
     cfg = config or SolverConfig()
     head = tuple(range(1, g.r - 1))
@@ -454,12 +462,27 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     rep = _solve(RUniformHypergraph(g.r, k, tuple(e for e in g.edges if e[-1] <= k)), cfg)
     # the core's report, padded, is g's: an edge with (r-1)th vertex e >= K
     # would push down to {1, ..., r-2, e, e+1} and make K larger, so a v > K
-    # has its link inside [K-1] and inside K's, and d_v(w) <= d_K(w). The
-    # core's Motzkin-Straus check holds for g, which has its clique order; a
+    # has its link inside [K-1] and inside K's, and d_v(w) <= d_K(w). A
     # pair of [K] in an edge of g is in that edge's least descendant through
     # the pair, an edge inside [K], so g[K] covers it
     pad = (0.0,) * (g.n - k)
     return replace(rep, weighting=rep.weighting + pad, raw_weighting=rep.raw_weighting + pad)
+
+
+def _report(g: RUniformHypergraph, x, raw, value, kkt, iterations=0, restarts=1) -> SolveReport:
+    """The report at weighting x; the defaults are a fixed weighting's, which no trial found."""
+    support = tuple(int(i) + 1 for i in np.flatnonzero(x > SUPPORT_THRESHOLD))
+    return SolveReport(
+        value=value,
+        weighting=tuple(float(v) for v in x),
+        raw_weighting=tuple(float(v) for v in raw),
+        support=support,
+        kkt_residual=kkt,
+        iterations=iterations,
+        restarts_used=restarts,
+        converged=kkt <= KKT_TOLERANCE,
+        pairs_covered=_pairs_covered(g, support),
+    )
 
 
 @lru_cache(maxsize=SOLVE_MEMO_SIZE)
@@ -467,22 +490,21 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     n = g.n
     L = _link_matrix(g)  # first, so that the entry limit holds for edgeless graphs too
     if g.m == 0:
-        uniform = tuple([1.0 / n] * n)
-        return SolveReport(
-            value=0.0,
-            weighting=uniform,
-            raw_weighting=uniform,
-            support=tuple(range(1, n + 1)),
-            kkt_residual=0.0,
-            iterations=0,
-            restarts_used=1,
-            converged=True,
-            pairs_covered=False,
-        )
+        x = np.full(n, 1.0 / n)
+        return _report(g, x, x, *_value_kkt(L, g.r, x))
+    if g.r == 2 and n <= CLIQUE_SEARCH_MAX_VERTICES:
+        clique, x = _max_clique_witness(g), np.zeros(n)
+        x[np.asarray(clique) - 1] = 1.0 / len(clique)
+        return _report(g, x, x, *_value_kkt(L, g.r, x))
+    return _multistart(g, L, cfg)
 
-    # the gradient `_batch_grad` returns, the batch's largest array at r <= 4;
-    # at r >= 5 the outer power of `_pair_links`, n^(r-2) per row, is larger
-    k = min(g.r - 1, 2)
+
+def _multistart(g: RUniformHypergraph, L: np.ndarray, cfg: SolverConfig) -> SolveReport:
+    """`solve`'s trials, Newton solves and polish on g itself, which has an edge."""
+    n = g.n
+    # the largest array of the batch: at r <= 4 the gradient `_batch_grad`
+    # returns, at r >= 5 the outer power of `_pair_links`, n^(r-2) per row
+    k = max(min(g.r - 1, 2), g.r - 2)
     if cfg.restarts * n**k > MAX_LINK_ENTRIES:
         raise ResourceLimitError(
             f"start batch limit exceeded: restarts * n^{k} = {cfg.restarts} * {n}^{k}"
@@ -515,7 +537,6 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     best_x = X2[best]
     best_val = float(v2[best])
     best_kkt = float(kkt[best])
-    iterations = int(it1[best] + it2[best])
 
     if best_kkt > KKT_TOLERANCE:
         y, ok = _face_newton(L, g.r, best_x[None, :])
@@ -531,23 +552,8 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
         if vy >= best_val - 1e-12:
             best_x, best_val, best_kkt = y, vy, ky
 
-    converged = best_kkt <= KKT_TOLERANCE
-    if g.r == 2 and n <= CLIQUE_SEARCH_MAX_VERTICES:
-        expected = motzkin_straus_value(g)
-        if abs(best_val - expected) > 1e-7:
-            converged = False
-
-    support = tuple(int(i) + 1 for i in np.flatnonzero(best_x > SUPPORT_THRESHOLD))
-    return SolveReport(
-        value=best_val,
-        weighting=tuple(float(v) for v in best_x),
-        raw_weighting=tuple(float(v) for v in X1[best]),
-        support=support,
-        kkt_residual=best_kkt,
-        iterations=iterations,
-        restarts_used=X0.shape[0],
-        converged=converged,
-        pairs_covered=_pairs_covered(g, support),
+    return _report(
+        g, best_x, X1[best], best_val, best_kkt, int(it1[best] + it2[best]), X0.shape[0]
     )
 
 

@@ -58,10 +58,14 @@ def _random_2_graph(rng):
     return hypergraph(2, edges, n=n)
 
 
-def test_criterion_1_motzkin_straus_exactness():
+def criterion_1_corpus():
+    """200 random 2-graphs, then K_2 to K_10."""
     rng = np.random.default_rng(20260808)
-    corpus = [_random_2_graph(rng) for _ in range(200)]
-    corpus += [complete_graph(t, 2) for t in range(2, 11)]
+    return [_random_2_graph(rng) for _ in range(200)] + [complete_graph(t, 2) for t in range(2, 11)]
+
+
+def test_criterion_1_motzkin_straus_exactness():
+    corpus = criterion_1_corpus()
     worst = 0.0
     for g in corpus:
         gap = abs(_solve(g).value - motzkin_straus_value(g))

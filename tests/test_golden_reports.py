@@ -56,7 +56,7 @@ CASES = [
 
 # Each graph takes a different branch of `solve`: polish on a left-compressed
 # input or not (the r=4 one is solved on its core [5] and padded to n = 6),
-# the r=2 Motzkin-Straus check, and n > 20 (no clique starts and no check).
+# the r=2 closed form, and an r=2 ascent at n > 20 (no clique starts).
 SOLVE_CASES = {
     "left-compressed r=3": hypergraph(
         3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5), (1, 4, 5)]

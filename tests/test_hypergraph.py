@@ -243,6 +243,34 @@ class TestCompression:
             assert is_left_compressed(out)
             assert left_compress(out) is out
 
+    def test_one_pass_matches_the_restart_from_the_top_loop(self):
+        def restarting(g):
+            # the reference: after each replacement, search again from the colex top
+            edges = set(g.edges)
+            while True:
+                for e in sorted(edges, key=lambda s: s[::-1], reverse=True):
+                    missing = [d for d in descendants(e) if d not in edges]
+                    if missing:
+                        edges.remove(e)
+                        edges.add(min(missing, key=lambda s: s[::-1]))
+                        break
+                else:
+                    return hypergraph(g.r, edges, n=g.n)
+
+        import random
+
+        rng = random.Random(23)
+        moved = 0
+        for _ in range(1000):
+            r = rng.choice((2, 3, 4))
+            n = rng.randint(r, 9)
+            pool = list(combinations(range(1, n + 1), r))
+            g = hypergraph(r, rng.sample(pool, rng.randint(1, min(30, len(pool)))), n=n)
+            out = left_compress(g)
+            assert out == restarting(g)
+            moved += out != g
+        assert moved > 500
+
 
 class TestCliques:
     def test_examples(self):

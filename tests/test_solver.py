@@ -21,7 +21,9 @@ from hyperlag import (
     hypergraph,
     is_left_compressed,
     kkt_residual,
+    left_compress,
     link,
+    max_clique_order,
     maximal_cliques,
     motzkin_straus_value,
     report_to_csv,
@@ -30,6 +32,7 @@ from hyperlag import (
     solve,
 )
 import hyperlag.solver
+from hyperlag.hypergraph import _max_clique_witness
 from hyperlag.solver import _pairs_covered, sorted_polish
 from hyperlag.harness import (
     HARNESS_SOLVER,
@@ -38,6 +41,7 @@ from hyperlag.harness import (
     _verdict_eq,
 )
 from ascent import ascent_step
+from test_acceptance import criterion_1_corpus
 
 TRIANGLE = complete_graph(3, 2)
 # K4^3 plus three edges through vertex 1: its optimum, the clique's 1/16,
@@ -292,13 +296,15 @@ class TestStartSchedule:
         np.testing.assert_array_equal(rows, np.vstack([head, draws]))
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_start_batch_past_entry_limit_refused_before_building(self, monkeypatch, r):
         # the limit at the link matrix's n^r entries; a row's gradient holds
-        # n^min(r-1, 2) of them
-        g = complete_graph(5, r)
-        most = 5**r // 5 ** min(r - 1, 2)
-        monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", 5**r)
+        # n^min(r-1, 2) of them, and at r >= 5 its outer power n^(r-2); a
+        # 2-graph takes trials only past 20 vertices
+        n = {2: 21, 5: 6}.get(r, 5)
+        g = complete_graph(n, r)
+        most = n**r // n ** max(min(r - 1, 2), r - 2)
+        monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", n**r)
         solve.cache_clear()
         try:
             assert solve(g, SolverConfig(restarts=most)).restarts_used == most
@@ -601,7 +607,7 @@ class TestSolve:
         assert again == first
 
     def test_seed_changes_raw_trials_not_value(self):
-        g = colex_graph(2, 5)
+        g = colex_graph(3, 5)
         a = solve(g, SolverConfig(seed=0))
         b = solve(g, SolverConfig(seed=99))
         assert a.value == pytest.approx(b.value, abs=1e-9)
@@ -689,3 +695,59 @@ class TestMotzkinStraus:
             assert solve(g).value == pytest.approx(
                 motzkin_straus_value(g), abs=1e-7
             )
+
+
+class TestTwoGraphClosedForm:
+    def test_the_ascent_reaches_the_closed_form(self):
+        # the growth-and-Newton path, which 2-graphs past 20 vertices take
+        checked = 0
+        for g in (g for g in criterion_1_corpus() if g.m):
+            L = hyperlag.solver._link_matrix(g)
+            rep = hyperlag.solver._multistart(g, L, SolverConfig())
+            assert abs(rep.value - motzkin_straus_value(g)) <= 1e-7
+            assert rep.converged
+            checked += 1
+        assert checked > 180
+
+    def test_report_is_uniform_on_a_maximum_clique(self):
+        compressed = 0
+        for g in (g for g in criterion_1_corpus() if g.m):
+            for h in (g, left_compress(g)):
+                rep = solve(h)
+                clique = _max_clique_witness(h)
+                assert len(clique) == max_clique_order(h)
+                if is_left_compressed(h):
+                    assert clique == tuple(range(1, len(clique) + 1))
+                    compressed += 1
+                uniform = tuple(1 / len(clique) if v in clique else 0.0 for v in range(1, h.n + 1))
+                assert rep.weighting == rep.raw_weighting == uniform
+                assert abs(rep.value - motzkin_straus_value(h)) <= 1e-15
+                assert rep.kkt_residual <= 1e-15
+                assert (rep.iterations, rep.restarts_used) == (0, 1)
+                assert rep.converged and rep.pairs_covered
+                assert solve(h, SolverConfig(restarts=3, seed=9)) == rep
+        assert compressed > 200
+
+    def test_a_core_report_is_padded(self):
+        g = hypergraph(2, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5)], n=7)
+        assert is_left_compressed(g) and core_order(g) == 3
+        rep = solve(g)
+        core = hyperlag.solver._solve(hypergraph(2, g.edges[:3], n=3), SolverConfig())
+        padded = (1 / 3,) * 3 + (0.0,) * 4
+        assert rep == replace(core, weighting=padded, raw_weighting=padded)
+        assert rep.support == (1, 2, 3)
+
+    def test_no_trial_runs(self, monkeypatch):
+        graphs = [
+            complete_graph(20, 2),  # K = n
+            colex_graph(2, 5),  # solved on its core [3]
+            hypergraph(2, [(1, 2), (2, 3), (3, 4)]),  # not left-compressed
+        ]
+        solve.cache_clear()
+        starts, ascents = counting(monkeypatch, "_starts"), counting(monkeypatch, "_ascend")
+        try:
+            for g in graphs:
+                assert abs(solve(g).value - motzkin_straus_value(g)) <= 1e-15
+        finally:
+            solve.cache_clear()
+        assert starts == ascents == []
