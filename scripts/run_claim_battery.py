@@ -73,7 +73,7 @@ def main():
             worst = report.verdict
         print(
             f"{claim:<16} {str(params):<24} {report.verdict:<13} "
-            f"{report.instances_checked:>9} {dt:>8.1f} {solves:>7} {hits:>6}"
+            f"{report.instances_checked:>9} {dt:>8.3f} {solves:>7} {hits:>6}"
         )
     print(f"\noverall: {worst}   (reports in {out}{os.sep})")
     return {"pass": 0, "fail": 1, "inconclusive": 3}[worst]

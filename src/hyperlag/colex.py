@@ -12,7 +12,14 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
+from .errors import ResourceLimitError
+
 RSet = tuple[int, ...]
+
+#: Most r-sets `colex_sets` lists in one call. Each set costs about 300
+#: bytes, so a listing, and the enumerator's rank tables built on one, stay
+#: under about 300 MB.
+MAX_TABLE_SETS = 1_000_000
 
 
 def rset(elements: Iterable[int]) -> RSet:
@@ -49,7 +56,15 @@ def _colex_key(a: RSet) -> RSet:
 
 
 def colex_sets(n: int, r: int) -> list[RSet]:
-    """Every r-subset of {1, ..., n}, in colex order."""
+    """Every r-subset of {1, ..., n}, in colex order.
+
+    Raises ResourceLimitError, before listing any, past `MAX_TABLE_SETS` sets.
+    """
+    if comb(n, r) > MAX_TABLE_SETS:
+        raise ResourceLimitError(
+            f"r-set limit exceeded: C({n}, {r}) = {comb(n, r)} r-sets"
+            f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
+        )
     # Descending tuples in lexicographic order run through colex order backwards.
     return [c[::-1] for c in combinations(range(n, 0, -1), r)][::-1]
 

@@ -26,14 +26,14 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .colex import colex_rank, colex_sets, colex_unrank
+from .colex import MAX_TABLE_SETS, colex_rank, colex_sets, colex_unrank
 from .errors import ResourceLimitError
 from .hypergraph import (
     RUniformHypergraph,
     _direct_descendants,
     colex_graph,
     format_hypergraph,
-    hypergraph,
+    hypergraph,  # not called here; kept because bench/spans.py wraps this attribute
 )
 from .solver import (
     SolverConfig,
@@ -51,11 +51,6 @@ HARNESS_SOLVER = SolverConfig(restarts=16)
 
 #: Values within this of the reference are neither above nor below it.
 EQUALITY_TOLERANCE = 1e-6
-
-#: Most r-sets `enumerate_left_compressed` puts in its rank tables. Each set
-#: costs about 300 bytes, so the tables stay under about 300 MB. The same cap
-#: bounds the edges of the colex prefixes that `run_claim` builds directly.
-MAX_TABLE_SETS = 1_000_000
 
 #: Most graphs `enumerate_left_compressed` yields for one call. A sweep keeps
 #: one `InstanceRow` per graph, so this bounds the rows each edge count adds.
@@ -123,15 +118,8 @@ def enumerate_left_compressed(
     # {1..r-1, w} for every w in (top, v]. None of those is in the prefix, so
     # v - top <= m - seed_prefix; with no prefix, top = r - 1.
     top = colex_unrank(seed_prefix, r)[-1] if seed_prefix else r - 1
-    n_eff = min(n, top + m - seed_prefix)
-    N = comb(n_eff, r)
-    if N > MAX_TABLE_SETS:
-        raise ResourceLimitError(
-            f"enumeration table limit exceeded: C({n_eff}, {r}) = {N} r-sets"
-            f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
-        )
-
-    elements = colex_sets(n_eff, r)
+    elements = colex_sets(min(n, top + m - seed_prefix), r)
+    N = len(elements)
     rank_of = {e: k for k, e in enumerate(elements, start=1)}
     dd = [()] + [
         tuple(rank_of[d] for d in _direct_descendants(e)) for e in elements
@@ -162,7 +150,8 @@ def enumerate_left_compressed(
                 raise ResourceLimitError(
                     f"graph limit exceeded: more than MAX_GRAPHS = {MAX_GRAPHS} graphs"
                 )
-            yield hypergraph(r, current, current[-1][-1])
+            # ranks only grow along a walk, so `current` is in colex order
+            yield RUniformHypergraph(r, current[-1][-1], tuple(current))
             return
         need = m - size
         for i, e in enumerate(addable):

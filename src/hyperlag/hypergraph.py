@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .colex import RSet, _colex_key, colex_sets, rset
+from .colex import MAX_TABLE_SETS, RSet, _colex_key, colex_sets, rset
 from .errors import ParseError, ResourceLimitError
 
 CLIQUE_SEARCH_MAX_VERTICES = 20
@@ -22,28 +22,15 @@ CLIQUE_NODE_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class RUniformHypergraph:
-    """A set of r-element edges over the vertex set {1, ..., n}."""
+    """A set of r-element edges over the vertex set {1, ..., n}.
+
+    Unchecked: the caller gives n >= r >= 2 and distinct sorted r-sets inside
+    [n], in colex order. `hypergraph` and `parse_hypergraph` check outside input.
+    """
 
     r: int
     n: int
     edges: tuple[RSet, ...]
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"uniformity must be >= 2, got {self.r}")
-        if self.n < self.r:
-            raise ValueError(f"need n >= r, got n = {self.n}, r = {self.r}")
-        canon = []
-        for e in self.edges:
-            s = rset(e)
-            if len(s) != self.r:
-                raise ValueError(f"edge {s} has size {len(s)}, expected {self.r}")
-            if s[-1] > self.n:
-                raise ValueError(f"edge {s} exceeds vertex count n = {self.n}")
-            canon.append(s)
-        if len(set(canon)) != len(canon):
-            raise ValueError("duplicate edges")
-        object.__setattr__(self, "edges", tuple(sorted(canon, key=_colex_key)))
 
     @cached_property
     def edge_set(self) -> frozenset[RSet]:
@@ -55,21 +42,30 @@ class RUniformHypergraph:
 
 
 def hypergraph(r: int, edges: Iterable[Iterable[int]], n: int | None = None) -> RUniformHypergraph:
-    """Build a hypergraph from edges; n defaults to the largest vertex used.
+    """Check edges, each through `rset` once, and sort them into colex order.
 
-    The constructor checks each edge once; inferring n checks them once more.
+    n defaults to the largest vertex used.
     """
+    canon = sorted((rset(e) for e in edges), key=_colex_key)
     if n is None:
-        edges = [rset(e) for e in edges]
-        n = max([r, *(e[-1] for e in edges)])
-    return RUniformHypergraph(r, n, tuple(edges))
+        n = max([r, *(e[-1] for e in canon)])
+    if r < 2 or n < r:
+        raise ValueError(f"need n >= r >= 2, got n = {n}, r = {r}")
+    for s in canon:
+        if len(s) != r:
+            raise ValueError(f"edge {s} has size {len(s)}, expected {r}")
+        if s[-1] > n:
+            raise ValueError(f"edge {s} exceeds vertex count n = {n}")
+    if len(set(canon)) != len(canon):
+        raise ValueError("duplicate edges")
+    return RUniformHypergraph(r, n, tuple(canon))
 
 
 def complete_graph(t: int, r: int) -> RUniformHypergraph:
     """All C(t, r) r-subsets of {1, ..., t}."""
     if r < 2 or t < r:
         raise ValueError(f"need t >= r >= 2, got t = {t}, r = {r}")
-    return RUniformHypergraph(r, t, tuple(combinations(range(1, t + 1), r)))
+    return RUniformHypergraph(r, t, tuple(colex_sets(t, r)))
 
 
 def colex_graph(r: int, m: int) -> RUniformHypergraph:
@@ -78,6 +74,10 @@ def colex_graph(r: int, m: int) -> RUniformHypergraph:
         raise ValueError(f"uniformity must be >= 2, got {r}")
     if m < 1:
         raise ValueError(f"edge count must be >= 1, got {m}")
+    if m > MAX_TABLE_SETS:  # before colex_unrank, whose search grows with m
+        raise ResourceLimitError(
+            f"colex prefix limit exceeded: {m} edges > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
+        )
     from .colex import colex_unrank
 
     n = colex_unrank(m, r)[-1]
@@ -187,7 +187,7 @@ def left_compress(g: RUniformHypergraph) -> RUniformHypergraph:
             d = min(missing, key=_colex_key)
             edges.remove(e)
             edges.add(d)
-    return RUniformHypergraph(g.r, g.n, tuple(edges))
+    return RUniformHypergraph(g.r, g.n, tuple(sorted(edges, key=_colex_key)))
 
 
 def _clique_links(g: RUniformHypergraph) -> dict[tuple[int, ...], set[int]]:
@@ -336,7 +336,7 @@ def parse_hypergraph(text: str) -> RUniformHypergraph:
     r, n, m = header
     if len(edges) != m:
         raise ParseError(1, f"header declares {m} edges, found {len(edges)}")
-    return RUniformHypergraph(r, n, tuple(edges))
+    return RUniformHypergraph(r, n, tuple(sorted(edges, key=_colex_key)))
 
 
 def format_hypergraph(g: RUniformHypergraph) -> str:

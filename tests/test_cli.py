@@ -287,6 +287,19 @@ def test_verify_table_limit_exits_2(capsys):
     assert "MAX_TABLE_SETS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["complete", "--r", "3", "--t", "2000"], ["colex", "--r", "3", "--m", "2000000"]],
+    ids=["complete", "colex"],
+)
+def test_gen_size_limit_exits_2(capsys, argv):
+    # C(2000, 3) and 2,000,000 edges are past MAX_TABLE_SETS, refused by `comb`
+    # before any r-set is listed
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (2, "")
+    assert "MAX_TABLE_SETS = 1000000" in err
+
+
 def test_solve_link_matrix_limit_exits_2(tmp_path, capsys):
     # 2000^3 entries: past MAX_LINK_ENTRIES before anything is allocated; the
     # edge {1, 2, 2000} is not left-compressed, so no core cuts n down

@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import combinations
 from math import comb
@@ -5,9 +6,11 @@ from math import comb
 import pytest
 
 import hyperlag.colex
+import hyperlag.solver
 from hyperlag import (
     ParseError,
     ResourceLimitError,
+    SolverConfig,
     colex_graph,
     colex_unrank,
     complete_graph,
@@ -111,7 +114,7 @@ class TestConstructors:
 
 
 class TestOneCheckPerEdge:
-    """Each edge passes through `rset` once per graph built, inferring n aside."""
+    """Each edge from outside passes through `rset` once; the library's own graphs never."""
 
     @pytest.fixture
     def rset_calls(self, monkeypatch):
@@ -128,12 +131,9 @@ class TestOneCheckPerEdge:
         return calls
 
     def test_enumeration(self, rset_calls):
-        graphs = 0
-        for g in enumerate_left_compressed(3, 10, 8):
-            assert len(rset_calls) == g.m
-            rset_calls.clear()
-            graphs += 1
+        graphs = sum(1 for _ in enumerate_left_compressed(3, 10, 8))
         assert graphs > 1
+        assert rset_calls == []
 
     def test_given_and_inferred_n(self, rset_calls):
         edges = [(2, 3, 4), (1, 2, 3), (1, 2, 5)]
@@ -141,7 +141,7 @@ class TestOneCheckPerEdge:
         assert len(rset_calls) == 3
         rset_calls.clear()
         assert hypergraph(3, edges).n == 5
-        assert len(rset_calls) == 6
+        assert len(rset_calls) == 3
 
     @pytest.mark.parametrize(
         "edges",
@@ -158,6 +158,66 @@ class TestOneCheckPerEdge:
     def test_given_n_still_checks(self, edges):
         with pytest.raises(ValueError):
             hypergraph(3, edges, n=6)
+
+
+class TestBuildersEmitCheckedGraphs:
+    """The constructor checks nothing, so each builder must emit what
+    `hypergraph` would: distinct canonical edges inside [n], in colex order."""
+
+    @staticmethod
+    def assert_checked(g):
+        assert g == hypergraph(g.r, g.edges, n=g.n)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_enumeration(self, r):
+        for m in range(1, 11):
+            for g in enumerate_left_compressed(r, m, 8):
+                self.assert_checked(g)
+        for g in enumerate_left_compressed(r, 10, 8, seed_prefix=r + 1):
+            self.assert_checked(g)
+
+    def test_colex_and_complete_graphs(self):
+        for r in (2, 3, 4):
+            for m in range(1, 60):
+                self.assert_checked(colex_graph(r, m))
+            for t in range(r, 9):
+                self.assert_checked(complete_graph(t, r))
+
+    @staticmethod
+    def random_graph(rng, min_edges):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r + 1, 8)
+        pool = list(combinations(range(1, n + 1), r))
+        return hypergraph(r, rng.sample(pool, rng.randint(min_edges, min(12, len(pool)))), n=n)
+
+    def test_left_compress(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            self.assert_checked(left_compress(self.random_graph(rng, 1)))
+
+    def test_parse_shuffled_lines(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            header, *body = format_hypergraph(self.random_graph(rng, 0)).splitlines()
+            shuffled = rng.sample(body, len(body))
+            g = parse_hypergraph("\n".join([header, *shuffled]) + "\n")
+            self.assert_checked(g)
+            assert format_hypergraph(g).splitlines() == [header, *body]
+
+    def test_solve_cores(self, monkeypatch):
+        cores = []
+        original = hyperlag.solver._solve
+
+        def recording(g, cfg):
+            cores.append(g)
+            return original(g, cfg)
+
+        monkeypatch.setattr(hyperlag.solver, "_solve", recording)
+        for g in enumerate_left_compressed(3, 8, 8):
+            solve(g, SolverConfig(restarts=2))
+        assert any(c.n < 8 for c in cores)
+        for c in cores:
+            self.assert_checked(c)
 
 
 class TestLinks:
