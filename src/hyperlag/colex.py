@@ -16,9 +16,10 @@ from .errors import ResourceLimitError
 
 RSet = tuple[int, ...]
 
-#: Most r-sets `colex_sets` lists in one call. Each set costs about 300
-#: bytes, so a listing, and the enumerator's rank tables built on one, stay
-#: under about 300 MB.
+#: Most r-sets `colex_sets` lists in one call, a set of r > 3 labels counting
+#: as r/3 sets. With the enumerator's rank tables built on a listing, a set
+#: costs about 340 bytes at r = 3 and 400 at r = 6; in a listing alone,
+#: 56 + 8r. So a listing and its tables stay under about 350 MB.
 MAX_TABLE_SETS = 1_000_000
 
 
@@ -58,9 +59,10 @@ def _colex_key(a: RSet) -> RSet:
 def colex_sets(n: int, r: int) -> list[RSet]:
     """Every r-subset of {1, ..., n}, in colex order.
 
-    Raises ResourceLimitError, before listing any, past `MAX_TABLE_SETS` sets.
+    Raises ResourceLimitError, before listing any, past `MAX_TABLE_SETS` sets,
+    a set of r > 3 labels counting as r/3.
     """
-    if comb(n, r) > MAX_TABLE_SETS:
+    if comb(n, r) * max(r, 3) > 3 * MAX_TABLE_SETS:
         raise ResourceLimitError(
             f"r-set limit exceeded: C({n}, {r}) = {comb(n, r)} r-sets"
             f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"

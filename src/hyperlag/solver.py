@@ -32,11 +32,13 @@ which each row keeps its own face (`_face_newton`). A row Newton
 finishes is done; any other row has its support cut and then takes one
 more growth pass of at most `MAX_GROWTH_STEPS` steps.
 
-A left-compressed g has lambda(g) = lambda(g[K]), the core g[K] keeping the
-edges inside [K], K the largest k >= r with {1, ..., r-2, k-1, k} an edge:
-a least-support optimum covers its pairs (Frankl-Rodl 1984) and may be
-sorted (`sorted_polish`), so its support [k] covers {k-1, k}, and k <= K.
-The core's report, padded with zeros, is g's (`SolveReport`).
+Let K be 1 + the largest second-highest vertex of an edge, so no edge holds
+two vertices >= K. If each edge A + v with v > K has A + K as an edge too,
+then d_v <= d_K at every weighting, and no edge holds both v and K, so
+moving v's weight onto K never lowers the value: lambda(g) = lambda(g[K]),
+the core g[K] keeping the edges inside [K]. The core's report, padded with
+zeros, is g's (`SolveReport`). A left-compressed g always passes: its edge
+A + v dominates A + K.
 
 A 2-graph on at most `CLIQUE_SEARCH_MAX_VERTICES` vertices takes no ascent:
 its value is (1/2)(1 - 1/omega), omega its clique order (Motzkin-Straus 1965),
@@ -117,12 +119,13 @@ class SolveReport:
     every pair of supported vertices lies in a common edge, a necessary
     condition at minimal-support optima.
 
-    For a left-compressed g solved on its core g[K], the report is the
-    core's, both weightings padded with zeros to n, and it holds for g: no
-    edge of g holds two vertices >= K, so for v > K each A with A + v an
-    edge lies in [K-1], A + K is an edge too, and v's link value is at most
-    K's. So g's residual is the core's, save that a supported K's own gap
-    can count twice, so at most double it.
+    For a g solved on its core g[K], the report is the core's, both
+    weightings padded with zeros to n, and it holds for g: for v > K each A
+    with A + v an edge lies in [K-1] and A + K is an edge too, so v's link
+    value is at most K's. So g's residual is the core's, save that a
+    supported K's own gap can count twice, so at most double it. Every pair
+    of [K] in an edge of g is in an edge of g[K], the edge itself or its
+    copy through K, so `pairs_covered` is g's as well.
     """
 
     value: float
@@ -140,9 +143,6 @@ def _edge_index(g: RUniformHypergraph) -> np.ndarray:
     return np.asarray(g.edges, dtype=np.int64).reshape(g.m, g.r) - 1
 
 
-# Enough for one solve (ascent, polish, KKT check) to build its matrix once;
-# four matrices at the entry limit hold 32 MB.
-@lru_cache(maxsize=4)
 def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
     """The link tensor as an (n^(r-1), n) matrix, divided by (r-1)!.
 
@@ -161,9 +161,7 @@ def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
     eidx = _edge_index(g)
     for perm in permutations(range(r)):
         T[eidx[:, perm] @ place] = 1.0 / factorial(r - 1)
-    L = T.reshape(n ** (r - 1), n)
-    L.setflags(write=False)
-    return L
+    return T.reshape(n ** (r - 1), n)
 
 
 def _as_weights(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
@@ -179,7 +177,7 @@ def _check_feasible(x: np.ndarray):
     if np.any(x < 0):
         raise ValueError(f"negative weight: min = {x.min()}")
     total = float(x.sum())
-    if abs(total - 1.0) > SIMPLEX_TOLERANCE:
+    if not abs(total - 1.0) <= SIMPLEX_TOLERANCE:  # a nan sum fails too
         raise ValueError(f"weights sum to {total!r}, not 1")
 
 
@@ -291,9 +289,10 @@ def _value_kkt(L: np.ndarray, r: int, x: np.ndarray) -> tuple[float, float]:
     return float(val[0]), float(_kkt_rows(x[None, :], grad, val, r)[0])
 
 
-def sorted_polish(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
+def sorted_polish(L: np.ndarray, r: int, x: Sequence[float]) -> np.ndarray:
     """Reassign weights in non-increasing label order, then re-converge.
 
+    L is the graph's link matrix (`_link_matrix`) and r its uniformity.
     Meant for left-compressed graphs, the only ones `solve` polishes. There
     the descending reassignment never decreases the objective, some optimal
     weighting is non-increasing, and a growth step keeps a non-increasing
@@ -301,10 +300,9 @@ def sorted_polish(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
     x_i * d_i >= x_j * d_j for the link values d. So one round canonicalizes
     the output.
     """
-    arr = _as_weights(g, x)
+    arr = np.asarray(x, dtype=np.float64)
     _check_feasible(arr)
-    arr = np.sort(arr)[::-1].copy()
-    return _ascend(_link_matrix(g), g.r, arr[None, :], MAX_GROWTH_STEPS)[0][0]
+    return _ascend(L, r, np.sort(arr)[None, ::-1], MAX_GROWTH_STEPS)[0][0]
 
 
 def _solve_rows(K: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -442,10 +440,11 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     earlier trial. If the winner's KKT residual is above `KKT_TOLERANCE`, it
     gets one more Newton solve, as a one-row stack, before the sorted polish.
 
-    A left-compressed g with K < n is solved as its core g[K] (module
-    docstring) and padded to n, so the entry limits below bind on K. A
-    2-graph with edges and n <= CLIQUE_SEARCH_MAX_VERTICES runs no trial: it
-    reports its closed form (module docstring), whatever the config.
+    A g with K < n whose vertices past K link inside K's is solved as its
+    core g[K] (module docstring) and padded to n, so the entry limits below
+    bind on K. A 2-graph with edges and n <= CLIQUE_SEARCH_MAX_VERTICES runs
+    no trial: it reports its closed form (module docstring), whatever the
+    config.
 
     Reports are memoized on the solved graph and the config (None meaning
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
@@ -455,16 +454,11 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     `MAX_LINK_ENTRIES` entries; the Newton solve runs in chunks that fit it.
     """
     cfg = config or SolverConfig()
-    head = tuple(range(1, g.r - 1))
-    k = max((e[-1] for e in g.edges if e[:-2] == head and e[-1] - e[-2] == 1), default=g.n)
-    if k == g.n or not is_left_compressed(g):
+    k = max((e[-2] + 1 for e in g.edges), default=g.n)
+    link_k = {e[:-1] for e in g.edges if e[-1] == k}
+    if k == g.n or any(e[-1] > k and e[:-1] not in link_k for e in g.edges):
         return _solve(g, cfg)
     rep = _solve(RUniformHypergraph(g.r, k, tuple(e for e in g.edges if e[-1] <= k)), cfg)
-    # the core's report, padded, is g's: an edge with (r-1)th vertex e >= K
-    # would push down to {1, ..., r-2, e, e+1} and make K larger, so a v > K
-    # has its link inside [K-1] and inside K's, and d_v(w) <= d_K(w). A
-    # pair of [K] in an edge of g is in that edge's least descendant through
-    # the pair, an edge inside [K], so g[K] covers it
     pad = (0.0,) * (g.n - k)
     return replace(rep, weighting=rep.weighting + pad, raw_weighting=rep.raw_weighting + pad)
 
@@ -547,7 +541,7 @@ def _multistart(g: RUniformHypergraph, L: np.ndarray, cfg: SolverConfig) -> Solv
     if is_left_compressed(g):
         # descending reassignment never lowers the value for this class, and
         # multiplicative updates keep exact zeros, so adoption is loss-free
-        y = sorted_polish(g, best_x)
+        y = sorted_polish(L, g.r, best_x)
         vy, ky = _value_kkt(L, g.r, y)
         if vy >= best_val - 1e-12:
             best_x, best_val, best_kkt = y, vy, ky

@@ -289,12 +289,17 @@ def test_verify_table_limit_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["complete", "--r", "3", "--t", "2000"], ["colex", "--r", "3", "--m", "2000000"]],
-    ids=["complete", "colex"],
+    [
+        ["complete", "--r", "3", "--t", "2000"],
+        ["colex", "--r", "3", "--m", "2000000"],
+        ["colex", "--r", "998", "--m", "1000"],
+    ],
+    ids=["complete", "colex", "colex-r998"],
 )
 def test_gen_size_limit_exits_2(capsys, argv):
     # C(2000, 3) and 2,000,000 edges are past MAX_TABLE_SETS, refused by `comb`
-    # before any r-set is listed
+    # before any r-set is listed; so are the C(1000, 998) = 499,500 sets of
+    # 998 labels the 1000-edge prefix is sliced from, each counting as 998/3
     code, out, err = run(capsys, "gen", *argv)
     assert (code, out) == (2, "")
     assert "MAX_TABLE_SETS = 1000000" in err
@@ -302,7 +307,7 @@ def test_gen_size_limit_exits_2(capsys, argv):
 
 def test_solve_link_matrix_limit_exits_2(tmp_path, capsys):
     # 2000^3 entries: past MAX_LINK_ENTRIES before anything is allocated; the
-    # edge {1, 2, 2000} is not left-compressed, so no core cuts n down
+    # edge {1, 2, 2000} has no copy {1, 2, 3} through K = 3, so no core cuts n down
     path = tmp_path / "wide.hg"
     path.write_text("3 2000 1\n1 2 2000\n")
     code, out, err = run(capsys, "solve", str(path))

@@ -9,6 +9,7 @@ import pytest
 from hyperlag import (
     CLAIMS,
     ResourceLimitError,
+    SolveReport,
     SolverConfig,
     colex_graph,
     complete_graph,
@@ -233,7 +234,7 @@ class TestSolveMemo:
         assert (info.hits, info.misses) == (1, 3)
 
     def test_errors_are_not_memoized(self):
-        # not left-compressed, so solved on all n vertices
+        # {1, 2, n} has no copy {1, 2, 3} through K = 3, so solved on all n vertices
         n = round(hyperlag.solver.MAX_LINK_ENTRIES ** (1 / 3)) + 1
         g = hypergraph(3, [(1, 2, n)], n=n)
         for _ in range(2):
@@ -259,8 +260,8 @@ class TestSolveMemo:
 
 
 class TestStartSchedule:
-    # maximal cliques {1, 2, 3, 4}, {1, 2, 5} and {3, 4, 6}; not left-compressed,
-    # so solved on all six vertices
+    # maximal cliques {1, 2, 3, 4}, {1, 2, 5} and {3, 4, 6}; {3, 4, 5} is
+    # missing, so solved on all six vertices
     G = hypergraph(3, list(complete_graph(4, 3).edges) + [(1, 2, 5), (3, 4, 6)], n=6)
 
     @pytest.mark.parametrize("cfg", [SolverConfig(), HARNESS_SOLVER, SolverConfig(seed=7)])
@@ -329,6 +330,20 @@ def core_order(g):
     return max(k for k in range(g.r, g.n + 1) if head + (k - 1, k) in g.edge_set)
 
 
+def solved_graph(monkeypatch, g):
+    """The graph `solve` hands to `_solve` for g, which solves nothing here."""
+    seen = []
+
+    def record(h, cfg):
+        seen.append(h)
+        return SolveReport(0.0, (), (), (), 0.0, 0, 0, True, True)
+
+    with monkeypatch.context() as m:
+        m.setattr(hyperlag.solver, "_solve", record)
+        solve(g)
+    return seen[0]
+
+
 class TestCoreReduction:
     @pytest.mark.parametrize("t", [5, 6])
     def test_core_solve_is_the_uncut_solve_padded(self, t):
@@ -346,13 +361,15 @@ class TestCoreReduction:
             assert rep.pairs_covered == _pairs_covered(g, rep.support)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_vertices_past_the_core_link_inside_its_last_vertex(self, r):
+    def test_vertices_past_the_core_link_inside_its_last_vertex(self, monkeypatch, r):
         # no edge holds two vertices >= K, so each v > K has its link inside
-        # [K-1] and inside K's, and sees no more than K at a padded weighting
+        # [K-1] and inside K's, and sees no more than K at a padded weighting;
+        # `solve` cuts a left-compressed graph at the staircase K
         past = 0
         for g in (g for m in range(1, 11) for g in enumerate_left_compressed(r, m, 9)):
             k = core_order(g)
             assert all(e[-2] < k for e in g.edges)
+            assert solved_graph(monkeypatch, g).n == k
             for v in range(k + 1, g.n + 1):
                 members = link(g, [v])
                 assert members <= link(g, [k])
@@ -369,6 +386,30 @@ class TestCoreReduction:
         finally:
             solve.cache_clear()
         assert len(starts) == len(cores) < len(graphs)
+
+    def test_a_graph_that_is_not_left_compressed_is_cut_too(self):
+        # 125 has its copy 123 through K = 3, so 5 moves its weight onto 3
+        g = hypergraph(3, [(1, 2, 3), (1, 2, 5)], n=5)
+        assert not is_left_compressed(g)
+        rep = solve(g)
+        assert rep.weighting == rep.raw_weighting == (1 / 3,) * 3 + (0.0, 0.0)
+        assert rep.support == (1, 2, 3)
+        assert rep.converged and rep.pairs_covered
+
+    def test_a_vertex_past_k_outside_its_link_keeps_the_whole_graph(self, monkeypatch):
+        # K = 4, and 235's (2, 3) is not in K's link {(1, 2)}
+        g = hypergraph(3, [(1, 2, 3), (1, 2, 4), (2, 3, 5)], n=5)
+        assert solved_graph(monkeypatch, g) is g
+
+    def test_the_polish_gate_is_the_only_compression_check(self, monkeypatch):
+        solve.cache_clear()
+        checks = counting(monkeypatch, "is_left_compressed")
+        runs = counting(monkeypatch, "_multistart")
+        try:
+            run_claim("theorem-4.1", t=6)
+        finally:
+            solve.cache_clear()
+        assert len(checks) == len(runs) > 0
 
 
 class TestKKT:
@@ -628,9 +669,26 @@ class TestSortedPolish:
         g = colex_graph(3, 11)
         rep = solve(g)
         shuffled = list(rep.weighting)[::-1]
-        out = sorted_polish(g, shuffled)
+        L = hyperlag.solver._link_matrix(g)
+        out = sorted_polish(L, g.r, shuffled)
         assert all(out[i] >= out[i + 1] - 1e-9 for i in range(len(out) - 1))
         assert evaluate(g, out) >= rep.value - 1e-9
+        for bad in (shuffled[:-1] + [shuffled[-1] + 0.5], [math.nan] * g.n):
+            with pytest.raises(ValueError, match="weights sum to"):
+                sorted_polish(L, g.r, bad)
+
+    def test_a_solve_builds_its_link_matrix_once(self, monkeypatch):
+        # the polish takes the matrix the trials ran on
+        g = complete_graph(5, 3)
+        solve.cache_clear()
+        built = counting(monkeypatch, "_link_matrix")
+        polished = counting(monkeypatch, "sorted_polish")
+        try:
+            solve(g)
+        finally:
+            solve.cache_clear()
+        assert len(built) == len(polished) == 1
+        assert polished[0][0].shape == (g.n ** 2, g.n)
 
     def test_one_round_keeps_order_and_value(self, monkeypatch):
         # a growth step keeps sorted weights sorted on a left-compressed graph
@@ -642,8 +700,9 @@ class TestSortedPolish:
         for r in (2, 3, 4):
             for m in range(1, 11):
                 for g in enumerate_left_compressed(r, m, 9):
+                    L = hyperlag.solver._link_matrix(g)
                     for x in rng.dirichlet(np.ones(g.n), size=3):
-                        out = sorted_polish(g, x)
+                        out = sorted_polish(L, g.r, x)
                         assert np.all(out[:-1] >= out[1:] - 1e-12)
                         start = np.sort(x)[::-1]
                         assert evaluate(g, out) >= evaluate(g, start) - 1e-15
@@ -741,7 +800,7 @@ class TestTwoGraphClosedForm:
         graphs = [
             complete_graph(20, 2),  # K = n
             colex_graph(2, 5),  # solved on its core [3]
-            hypergraph(2, [(1, 2), (2, 3), (3, 4)]),  # not left-compressed
+            hypergraph(2, [(1, 2), (2, 3), (3, 4)]),  # not left-compressed, K = n
         ]
         solve.cache_clear()
         starts, ascents = counting(monkeypatch, "_starts"), counting(monkeypatch, "_ascend")
