@@ -62,10 +62,11 @@ def colex_sets(n: int, r: int) -> list[RSet]:
     Raises ResourceLimitError, before listing any, past `MAX_TABLE_SETS` sets,
     a set of r > 3 labels counting as r/3.
     """
-    if comb(n, r) * max(r, 3) > 3 * MAX_TABLE_SETS:
+    weighed = -(-comb(n, r) * max(r, 3) // 3)  # rounded up, so exact against the cap
+    if weighed > MAX_TABLE_SETS:
         raise ResourceLimitError(
-            f"r-set limit exceeded: C({n}, {r}) = {comb(n, r)} r-sets"
-            f" > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
+            f"r-set limit exceeded: C({n}, {r}) = {comb(n, r)} r-sets of {r} labels"
+            f" count as {weighed} > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
         )
     # Descending tuples in lexicographic order run through colex order backwards.
     return [c[::-1] for c in combinations(range(n, 0, -1), r)][::-1]

@@ -10,8 +10,8 @@ where d_i is the link value at vertex i (the partial derivative). For a
 homogeneous polynomial with non-negative coefficients this update never
 decreases the objective and preserves the simplex exactly, so no projection
 step is needed. Restart trials are independent; they are executed batched and
-reduced by value with ties broken on restart index, so the report for a fixed
-seed does not depend on scheduling.
+reduced to the earliest KKT point within 1e-15 of the best value (`solve`), so
+the report for a fixed seed does not depend on scheduling.
 
 The link values come from one dense matrix per graph: the link tensor, with
 a 1/(r-1)! entry for each ordering of each edge, as an (n^(r-1), n) matrix.
@@ -26,11 +26,14 @@ and no unsupported vertex sees more; `kkt_residual` measures the deviation.
 Growth steps converge only like 1/k toward an optimum on a degenerate face,
 where a vertex's weight shrinks while its link value ties r times the
 objective (a clique plus extra edges through one of its vertices). So every
-row takes `GROWTH_STEPS` growth steps, and the rows still moving then get
+row takes `FIRST_ROUND_STEPS` growth steps, and the rows still moving then get
 Newton's method on the KKT equations of their faces, as stacked solves in
 which each row keeps its own face (`_face_newton`). A row Newton
-finishes is done; any other row has its support cut and then takes one
-more growth pass of at most `MAX_GROWTH_STEPS` steps.
+finishes is done; the rows still moving that it does not finish grow on to
+`GROWTH_STEPS` in all and get a second Newton solve. The support is cut only
+then, since after the first round an optimum's weight can still sit below
+`SUPPORT_THRESHOLD`: any row neither solve finishes has its support cut and
+then takes one more growth pass of at most `MAX_GROWTH_STEPS` steps.
 
 Let K be 1 + the largest second-highest vertex of an edge, so no edge holds
 two vertices >= K. If each edge A + v with v > K has A + K as an edge too,
@@ -72,7 +75,11 @@ SIMPLEX_TOLERANCE = 1e-12
 STEP_GAIN_FLOOR = 1e-14
 #: A solve is converged when its KKT residual is at most this.
 KKT_TOLERANCE = 1e-12
-#: Growth steps every row takes before its face-Newton solve.
+#: Growth steps of the first round, after which the rows still moving get
+#: their first face-Newton solve.
+FIRST_ROUND_STEPS = 30
+#: Growth steps a row Newton does not finish takes, over both rounds, before
+#: the support cut; the second round's rows get a second Newton solve.
 GROWTH_STEPS = 200
 #: Most growth steps of one ascent after the support cut, so a row takes at
 #: most `GROWTH_STEPS` + `MAX_GROWTH_STEPS` in all. A safety stop that no
@@ -114,8 +121,10 @@ class SolveReport:
     `weighting` is the support-minimized (and, for left-compressed inputs,
     sorted) optimum; `raw_weighting` is the same trial before support
     minimization. `converged` means a KKT residual of at most
-    `KKT_TOLERANCE`. `iterations` counts the winning trial's growth steps;
-    Newton iterations are not counted. `pairs_covered` records whether
+    `KKT_TOLERANCE`. `iterations` counts the winning trial's growth steps,
+    over both rounds and the pass after the support cut; Newton iterations
+    are not counted, so a trial the first Newton solve finishes reports
+    `FIRST_ROUND_STEPS`. `pairs_covered` records whether
     every pair of supported vertices lies in a common edge, a necessary
     condition at minimal-support optima.
 
@@ -432,13 +441,18 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     Trial list: the uniform weighting, then a uniform weighting on each
     maximal clique (when n <= CLIQUE_SEARCH_MAX_VERTICES), then flat-Dirichlet
     draws from one generator seeded by `config.seed`, `restarts` trials in
-    total. Each trial takes `GROWTH_STEPS` growth steps. The trials still
-    moving then get one stacked Newton solve, each on its own face; a trial
-    whose KKT point is accepted is done. Every other trial gets its support
-    minimized and runs growth updates to the gain floor or
-    `MAX_GROWTH_STEPS`. The best value wins, with ties broken toward the
-    earlier trial. If the winner's KKT residual is above `KKT_TOLERANCE`, it
-    gets one more Newton solve, as a one-row stack, before the sorted polish.
+    total. Each trial takes `FIRST_ROUND_STEPS` growth steps. The trials
+    still moving then get one stacked Newton solve, each on its own face; a
+    trial whose KKT point is accepted is done. The others still moving take
+    the rest of `GROWTH_STEPS` and, if still moving, a second stacked Newton
+    solve. Every trial neither solve finished gets its support minimized and
+    runs growth updates to the gain floor or `MAX_GROWTH_STEPS`. The winner
+    is the earliest trial whose KKT residual is at most `KKT_TOLERANCE` and
+    whose value is within 1e-15 of the best, so an ulp of Newton overshoot
+    does not outrank an exact optimum; when no trial qualifies, the best
+    value wins, with ties broken toward the earlier trial. If the winner's
+    KKT residual is above `KKT_TOLERANCE`, it gets one more Newton solve, as
+    a one-row stack, before the sorted polish.
 
     A g with K < n whose vertices past K link inside K's is solved as its
     core g[K] (module docstring) and padded to n, so the entry limits below
@@ -505,16 +519,24 @@ def _multistart(g: RUniformHypergraph, L: np.ndarray, cfg: SolverConfig) -> Solv
             f" = {cfg.restarts * n**k} entries > MAX_LINK_ENTRIES = {MAX_LINK_ENTRIES}"
         )
     X0 = _starts(g, cfg)
-    X1, _, _, it1 = _ascend(L, g.r, X0, GROWTH_STEPS)
 
-    # rows still moving get stacked face-Newton solves, in chunks that fit
-    # the entry limit; an accepted row is done
-    done = np.zeros(X1.shape[0], dtype=bool)
-    stuck = np.flatnonzero(it1 == GROWTH_STEPS)
+    # two growth rounds; after each, the rows still moving get stacked
+    # face-Newton solves, in chunks that fit the entry limit, and only the
+    # rows Newton does not finish grow on
+    X1, it1 = X0.copy(), np.zeros(X0.shape[0], dtype=np.int64)
+    done = np.zeros(X0.shape[0], dtype=bool)
+    grow = np.arange(X0.shape[0])
     chunk = max(1, MAX_LINK_ENTRIES // max((n + 1) ** 2, n ** (g.r - 2)))
-    for i in range(0, stuck.size, chunk):
-        rows = stuck[i : i + chunk]
-        X1[rows], done[rows] = _face_newton(L, g.r, X1[rows])
+    for steps in (FIRST_ROUND_STEPS, GROWTH_STEPS - FIRST_ROUND_STEPS):
+        if not grow.size:
+            break
+        X1[grow], _, _, its = _ascend(L, g.r, X1[grow], steps)
+        it1[grow] += its
+        stuck = grow[its == steps]
+        for i in range(0, stuck.size, chunk):
+            rows = stuck[i : i + chunk]
+            X1[rows], done[rows] = _face_newton(L, g.r, X1[rows])
+        grow = stuck[~done[stuck]]
 
     # support minimization: the rows Newton did not finish take one more pass
     X2 = np.where(X1 > SUPPORT_THRESHOLD, X1, 0.0)
@@ -527,7 +549,10 @@ def _multistart(g: RUniformHypergraph, L: np.ndarray, cfg: SolverConfig) -> Solv
     )
     kkt = _kkt_rows(X2, grad, v2, g.r)
 
-    best = int(np.argmax(v2))
+    # the earliest KKT point within rounding of the best value wins, so an
+    # ulp of Newton overshoot does not outrank an exact optimum
+    tied = np.flatnonzero((kkt <= KKT_TOLERANCE) & (v2 >= v2.max() - 1e-15))
+    best = int(tied[0]) if tied.size else int(np.argmax(v2))
     best_x = X2[best]
     best_val = float(v2[best])
     best_kkt = float(kkt[best])

@@ -303,6 +303,10 @@ def test_gen_size_limit_exits_2(capsys, argv):
     code, out, err = run(capsys, "gen", *argv)
     assert (code, out) == (2, "")
     assert "MAX_TABLE_SETS = 1000000" in err
+    # each message names the count weighed against the cap (for r = 998,
+    # 499,500 sets as 166,167,000), so its printed comparison holds
+    weighed, cap = map(int, re.search(r"(\d+)\D* > MAX_TABLE_SETS = (\d+)", err).groups())
+    assert weighed > cap
 
 
 def test_solve_link_matrix_limit_exits_2(tmp_path, capsys):

@@ -481,13 +481,15 @@ class TestFaceNewton:
         monkeypatch.setattr(hyperlag.solver, "MAX_GROWTH_STEPS", 1000)
         steps = self.growth_steps(monkeypatch)
         rep = solve(self.DENSE, HARNESS_SOLVER)
-        # the tail rows run on to the step cap after the support cut, 10,815
+        # the tail rows run on to the step cap after the support cut, 14,409
         # steps in all; the K4 clique start still wins
         assert sum(steps) > 10 * hyperlag.solver.MAX_GROWTH_STEPS
         assert rep.value == 0.0625
 
     def test_one_growth_pass_after_newton(self, monkeypatch):
-        # the first ascent, the one pass after the support cut and the polish
+        # the first round (Newton finishes every row still moving after it,
+        # so no second round runs), the one pass after the support cut and
+        # the polish
         assert is_left_compressed(self.DENSE)
         ascents = counting(monkeypatch, "_ascend")
         solve(self.DENSE, HARNESS_SOLVER)
@@ -588,14 +590,35 @@ class TestFaceNewton:
 
     def test_r4_solve_whose_every_row_newton_finishes(self):
         # K5^4 plus four edges through 1 and 6: vertex 6 sees 4/125, tying
-        # 4 * 1/125, so the one row is still moving after the growth steps
+        # 4 * 1/125, so the one row is still moving after the first round
         edges = list(combinations(range(1, 6), 4))
         edges += [(1, 2, 3, 6), (1, 2, 4, 6), (1, 3, 4, 6), (1, 2, 5, 6)]
         rep = solve(hypergraph(4, edges), SolverConfig(restarts=1))
-        assert rep.iterations == hyperlag.solver.GROWTH_STEPS
+        assert rep.iterations == hyperlag.solver.FIRST_ROUND_STEPS
         assert rep.value == pytest.approx(1 / 125, abs=1e-15)
         assert rep.support == (1, 2, 3, 4, 5)
         assert rep.converged
+
+    def test_a_weight_low_after_the_first_round_is_not_cut(self, monkeypatch):
+        # at step 30 a weight of the optimum is 4.5e-10, under the support
+        # threshold: cut then, its row would take over 10,000 more steps
+        edges = (
+            "1356 1456 2347 3467 1238 1248 2458 1268 1368 2468 3468"
+            " 2349 1259 1369 2369 3469 2479 4679 1289 1489 1689 3789"
+        )
+        g = hypergraph(4, [tuple(map(int, e)) for e in edges.split()], n=9)
+        steps = self.growth_steps(monkeypatch)
+        rep = solve(g, SolverConfig(seed=3))
+        assert sum(steps) < 3_000
+        assert abs(rep.value - 0.005965300615971135) <= 1e-15
+        assert rep.converged
+
+    def test_an_exact_kkt_point_beats_an_ulp_of_overshoot(self):
+        # Newton points can sit an ulp above the exact clique optimum; the
+        # earliest KKT point within 1e-15 of the best wins
+        rep = solve(self.DENSE, HARNESS_SOLVER)
+        assert rep.value == 0.0625
+        assert rep.raw_weighting == (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 
     def test_theorem_4_3_edge_case_converges_and_passes(self):
         # the graph of `verify theorem-4.3 --t 12 --m 340` whose value sits
