@@ -4,8 +4,10 @@
 Each claim runs at its default desk-scale parameters; reports land in the
 output directory as <claim>__<params>.json / .csv. Per claim the table shows
 the calls of `solve` it made and how many of them the solve memo served,
-from earlier claims of the same run. Exit status is 0 when every claim
-passes, 1 on any fail, 3 on any inconclusive.
+from earlier claims of the same run. A cone's link solve is a call too, so
+the calls count nested link solves: conjecture-2.2 at r=3, t=5 makes 16 for
+its 14 graphs. Exit status is 0 when every claim passes, 1 on any fail, 3
+on any inconclusive.
 """
 
 import argparse

@@ -47,6 +47,17 @@ A 2-graph on at most `CLIQUE_SEARCH_MAX_VERTICES` vertices takes no ascent:
 its value is (1/2)(1 - 1/omega), omega its clique order (Motzkin-Straus 1965),
 at the uniform weighting on a maximum clique, [omega] if g is left-compressed.
 A clique vertex sees (omega-1)/omega there, and a vertex off it no more.
+
+Two more kinds of graph take no ascent of their own. A complete graph,
+m = C(n, r), takes the uniform weighting, by symmetry, as an edgeless one
+does: its value is C(n, r)/n^r. A cone, an r-graph with r >= 3 whose
+smallest vertex v lies in every edge, is solved through its link, the
+(r-1)-graph of the edges with v removed and the labels above v shifted down
+by one. With x_v = s the value is at most s (1-s)^(r-1) lambda(link), so
+lambda(g) = ((r-1)^(r-1)/r^r) lambda(link), at x_v = 1/r and (1 - 1/r) times
+the link's weighting elsewhere; at r = 3 that is (2/27)(1 - 1/omega(link)).
+There every vertex sees r times the value if the link's weighting is a KKT
+point. A 2-graph star is no cone here, since its link would be 1-uniform.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng  # loads numpy.random now, not in the first multistart
 
 from .errors import ResourceLimitError
 from .hypergraph import (
@@ -101,7 +113,9 @@ class SolverConfig:
     """Multistart size, and the seed of one generator for every Dirichlet start.
 
     Clique starts run on graphs with at most `CLIQUE_SEARCH_MAX_VERTICES`
-    vertices; 2-graphs that small take no trial, so ignore both fields.
+    vertices. 2-graphs that small take no trial, nor do complete graphs and
+    r = 3 cones on one vertex more, whose links are such 2-graphs; all of
+    them ignore both fields.
     """
 
     restarts: int = 64
@@ -126,7 +140,9 @@ class SolveReport:
     are not counted, so a trial the first Newton solve finishes reports
     `FIRST_ROUND_STEPS`. `pairs_covered` records whether
     every pair of supported vertices lies in a common edge, a necessary
-    condition at minimal-support optima.
+    condition at minimal-support optima. A graph solved in closed form
+    reports `iterations` 0 and `restarts_used` 1, save a cone (module
+    docstring), whose `iterations` and `restarts_used` are its link's.
 
     For a g solved on its core g[K], the report is the core's, both
     weightings padded with zeros to n, and it holds for g: for v > K each A
@@ -380,15 +396,15 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
         new = np.where(f, y + step[:, :n], 0.0)
         stop = conv | ((new <= 0.0) & f).any(axis=1)
         stop[singular] = True
-        leave = []
-        for i in np.flatnonzero(stop):
+        # a converged row with no face weight below the face ratio is done
+        low = f & (y < FACE_RATIO * y.max(axis=1, keepdims=True))
+        accept = conv & ~low.any(axis=1)
+        Y[rows[accept]] = y[accept] / y[accept].sum(axis=1, keepdims=True)
+        done[rows[accept]] = True
+        leave = np.flatnonzero(accept).tolist()
+        for i in np.flatnonzero(stop & ~accept):
             if conv[i]:
-                low = f[i] & (y[i] < FACE_RATIO * y[i].max())
-                if not low.any():
-                    Y[rows[i]], done[rows[i]] = y[i] / y[i].sum(), True
-                    leave.append(i)
-                    continue
-                f[i] &= ~low
+                f[i] &= ~low[i]
             else:
                 face = np.flatnonzero(f[i])
                 worst = y[i, face] if i in singular else new[i, face] / y[i, face]
@@ -430,7 +446,7 @@ def _starts(g: RUniformHypergraph, config: SolverConfig) -> np.ndarray:
             w = np.zeros(n)
             w[np.asarray(clique) - 1] = 1.0 / len(clique)
             rows.append(w)
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     rows.extend(rng.dirichlet(np.ones(n), size=config.restarts - len(rows)))
     return np.asarray(rows)
 
@@ -456,9 +472,12 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
 
     A g with K < n whose vertices past K link inside K's is solved as its
     core g[K] (module docstring) and padded to n, so the entry limits below
-    bind on K. A 2-graph with edges and n <= CLIQUE_SEARCH_MAX_VERTICES runs
-    no trial: it reports its closed form (module docstring), whatever the
-    config.
+    bind on K. A 2-graph with edges and n <= CLIQUE_SEARCH_MAX_VERTICES and
+    a complete graph run no trial: each reports its closed form (module
+    docstring), whatever the config. A cone at r >= 3 runs only its link's
+    solve, through the memo, and lifts the link's report. None of these
+    builds a start batch of its own, so the start-batch limit below does not
+    refuse them.
 
     Reports are memoized on the solved graph and the config (None meaning
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
@@ -496,14 +515,24 @@ def _report(g: RUniformHypergraph, x, raw, value, kkt, iterations=0, restarts=1)
 @lru_cache(maxsize=SOLVE_MEMO_SIZE)
 def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     n = g.n
-    L = _link_matrix(g)  # first, so that the entry limit holds for edgeless graphs too
-    if g.m == 0:
+    L = _link_matrix(g)  # first, so that the entry limit holds for closed forms too
+    if g.m in (0, comb(n, g.r)):  # edgeless or complete
         x = np.full(n, 1.0 / n)
         return _report(g, x, x, *_value_kkt(L, g.r, x))
     if g.r == 2 and n <= CLIQUE_SEARCH_MAX_VERTICES:
         clique, x = _max_clique_witness(g), np.zeros(n)
         x[np.asarray(clique) - 1] = 1.0 / len(clique)
         return _report(g, x, x, *_value_kkt(L, g.r, x))
+    apex = g.r >= 3 and min(set(g.edges[0]).intersection(*g.edges[1:]), default=0)
+    if apex:
+        # dropping the apex keeps the colex order of sets that all hold it
+        edges = tuple(tuple(u - (u > apex) for u in e if u != apex) for e in g.edges)
+        rep = solve(RUniformHypergraph(g.r - 1, n - 1, edges), cfg)
+        x, raw = (
+            np.insert((1.0 - 1.0 / g.r) * np.asarray(w), apex - 1, 1.0 / g.r)
+            for w in (rep.weighting, rep.raw_weighting)
+        )
+        return _report(g, x, raw, *_value_kkt(L, g.r, x), rep.iterations, rep.restarts_used)
     return _multistart(g, L, cfg)
 
 

@@ -333,9 +333,10 @@ def test_solve_wide_left_compressed_graph_on_its_core(tmp_path, capsys):
 
 
 def test_solve_start_batch_limit_exits_2(tmp_path, capsys, monkeypatch):
-    # 10^8 restarts of 4^2 gradient entries each: refused before a start is built
+    # 10^8 restarts of 5^2 gradient entries each: refused before a start is
+    # built; K5^3 minus 345, since a complete graph builds no start batch
     path = tmp_path / "k.hg"
-    run(capsys, "gen", "complete", "--r", "3", "--t", "4", "-o", str(path))
+    run(capsys, "gen", "colex", "--r", "3", "--m", "9", "-o", str(path))
     monkeypatch.setattr(solver, "_starts", lambda g, config: pytest.fail("built the starts"))
     code, out, err = run(capsys, "solve", str(path), "--restarts", "100000000")
     assert (code, out) == (2, "")

@@ -277,7 +277,7 @@ class TestStartSchedule:
             starts.append(real_starts(g, config))
             return starts[-1]
 
-        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        monkeypatch.setattr(hyperlag.solver, "default_rng", counted_rng)
         monkeypatch.setattr(hyperlag.solver, "_starts", recorded_starts)
         solve.cache_clear()
         try:
@@ -301,9 +301,11 @@ class TestStartSchedule:
     def test_start_batch_past_entry_limit_refused_before_building(self, monkeypatch, r):
         # the limit at the link matrix's n^r entries; a row's gradient holds
         # n^min(r-1, 2) of them, and at r >= 5 its outer power n^(r-2); a
-        # 2-graph takes trials only past 20 vertices
-        n = {2: 21, 5: 6}.get(r, 5)
-        g = complete_graph(n, r)
+        # 2-graph takes trials only past 20 vertices. Kn^r minus one edge, as
+        # a complete graph takes no trials, nor does one on r + 1 vertices,
+        # where every other r-graph is a cone
+        n = {2: 21, 3: 5}.get(r, r + 2)
+        g = hypergraph(r, complete_graph(n, r).edges[1:], n=n)
         most = n**r // n ** max(min(r - 1, 2), r - 2)
         monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", n**r)
         solve.cache_clear()
@@ -379,13 +381,19 @@ class TestCoreReduction:
     def test_one_start_batch_per_distinct_core(self, monkeypatch):
         graphs = claim_graphs("conjecture-2.2", 6)
         cores = {tuple(e for e in g.edges if e[-1] <= core_order(g)) for g in graphs}
+        # complete cores and cones take their closed forms, with no start batch;
+        # a core's last edge holds its largest vertex K
+        searched = [
+            c for c in cores
+            if len(c) < math.comb(c[-1][-1], 3) and not set(c[0]).intersection(*c[1:])
+        ]
         solve.cache_clear()
         starts = counting(monkeypatch, "_starts")
         try:
             run_claim("conjecture-2.2", t=6)
         finally:
             solve.cache_clear()
-        assert len(starts) == len(cores) < len(graphs)
+        assert len(starts) == len(searched) < len(cores) < len(graphs)
 
     def test_a_graph_that_is_not_left_compressed_is_cut_too(self):
         # 125 has its copy 123 through K = 3, so 5 moves its weight onto 3
@@ -653,7 +661,7 @@ class TestSolve:
             solve(hypergraph(3, [], n=200))
 
     def test_report_consistency(self):
-        g = colex_graph(3, 12)
+        g = colex_graph(3, 9)  # K5^3 minus 345, neither complete nor a cone
         rep = solve(g)
         assert rep.value == pytest.approx(evaluate(g, rep.weighting), abs=1e-12)
         assert rep.converged
@@ -702,7 +710,7 @@ class TestSortedPolish:
 
     def test_a_solve_builds_its_link_matrix_once(self, monkeypatch):
         # the polish takes the matrix the trials ran on
-        g = complete_graph(5, 3)
+        g = colex_graph(3, 9)
         solve.cache_clear()
         built = counting(monkeypatch, "_link_matrix")
         polished = counting(monkeypatch, "sorted_polish")
@@ -751,6 +759,92 @@ class TestClosedForms:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             complete_lagrangian(2, 3)
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Empty the memo and record `_starts` calls."""
+        solve.cache_clear()
+        yield counting(monkeypatch, "_starts")
+        solve.cache_clear()
+
+    def test_complete_graph_takes_the_uniform_weighting(self, starts):
+        for r in range(2, 6):
+            for t in range(r, 9):
+                rep = solve(complete_graph(t, r))
+                assert rep.weighting == rep.raw_weighting == (1 / t,) * t
+                assert abs(rep.value - complete_lagrangian(t, r)) <= 1e-16
+                assert rep.converged
+                assert (rep.iterations, rep.restarts_used) == (0, 1)
+        assert starts == []
+
+    def test_3_cone_is_motzkin_straus_on_its_link(self, starts):
+        # lambda = (1/3)(2/3)^2 (1/2)(1 - 1/omega), at apex weight 1/3
+        for g, apex, link_graph in random_cones(300, seed=27):
+            rep = solve(g)
+            omega = max_clique_order(link_graph)
+            assert abs(rep.value - 2 / 27 * (1 - 1 / omega)) <= 1e-16
+            assert rep.weighting[apex - 1] == 1 / 3
+            assert rep.converged
+        assert starts == []
+
+    def test_4_cone_reports_its_links_multistart(self, starts):
+        link_graph = colex_graph(3, 9)  # K5^3 minus 345: neither complete nor a cone
+        g = cone(3, link_graph)
+        rep, link_rep = solve(g), solve(link_graph)
+        assert [h for h, _ in starts] == [link_graph]
+        assert link_rep.restarts_used == SolverConfig().restarts
+        assert (rep.iterations, rep.restarts_used) == (link_rep.iterations, link_rep.restarts_used)
+        assert abs(rep.value - 27 / 256 * link_rep.value) <= 1e-16
+        assert rep.weighting[2] == 0.25
+        assert rep.converged
+
+    def test_2_graph_star_takes_the_ascent(self, starts):
+        # past 20 vertices a 2-graph star takes trials, not a 1-uniform link
+        g = hypergraph(2, [(v, 21) for v in range(1, 31) if v != 21], n=30)
+        rep = solve(g)
+        assert len(starts) == 1
+        assert abs(rep.value - 0.25) <= 1e-12
+        assert rep.converged
+
+    def test_the_ascent_reaches_the_closed_forms(self):
+        graphs = [
+            (complete_graph(t, r), complete_lagrangian(t, r))
+            for r in range(3, 6) for t in range(r, 8)
+        ]
+        graphs += [
+            (g, 2 / 27 * (1 - 1 / max_clique_order(link_graph)))
+            for g, _, link_graph in random_cones(100, seed=28)
+        ]
+        for g, value in graphs:
+            L = hyperlag.solver._link_matrix(g)
+            rep = hyperlag.solver._multistart(g, L, SolverConfig())
+            assert abs(rep.value - value) <= 1e-12
+            assert rep.converged
+
+
+def cone(apex, link_graph):
+    """The (r+1)-graph whose edges are the link's edges plus `apex`, the
+    link's labels from `apex` up shifted up by one."""
+    edges = [
+        tuple(sorted((apex, *(u + (u >= apex) for u in e)))) for e in link_graph.edges
+    ]
+    return hypergraph(link_graph.r + 1, edges, n=link_graph.n + 1)
+
+
+def random_cones(count, seed):
+    """(cone, apex, link) for random 3-cones: a 2-graph link with an edge on
+    2 to 11 vertices, with its apex at a random label. The apex returned is
+    the smallest vertex in every edge, which a star link adds to."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k, density = int(rng.integers(2, 12)), rng.random()
+        pairs = [p for p in combinations(range(1, k + 1), 2) if rng.random() < density]
+        if pairs:
+            link_graph = hypergraph(2, pairs, n=k)
+            g = cone(int(rng.integers(1, k + 2)), link_graph)
+            out.append((g, min(set(g.edges[0]).intersection(*g.edges)), link_graph))
+    return out
 
 
 class TestMotzkinStraus:
