@@ -28,12 +28,16 @@ where a vertex's weight shrinks while its link value ties r times the
 objective (a clique plus extra edges through one of its vertices). So every
 row takes `FIRST_ROUND_STEPS` growth steps, and the rows still moving then get
 Newton's method on the KKT equations of their faces, as stacked solves in
-which each row keeps its own face (`_face_newton`). A row Newton
-finishes is done; the rows still moving that it does not finish grow on to
-`GROWTH_STEPS` in all and get a second Newton solve. The support is cut only
-then, since after the first round an optimum's weight can still sit below
-`SUPPORT_THRESHOLD`: any row neither solve finishes has its support cut and
-then takes one more growth pass of at most `MAX_GROWTH_STEPS` steps.
+which each row keeps its own face (`_face_newton`). Where the shrinking
+weight's zero is the optimum, the face system is singular there, and Newton
+too converges only linearly, halving that weight each step (Decker, Keller
+and Kelley 1983); so a weight it keeps halving leaves the face, as does one
+below `FACE_RATIO` of its row's largest. A row Newton finishes is done; the
+rows still moving that it does not finish grow on to `GROWTH_STEPS` in all
+and get a second Newton solve. The support is cut only then, since after
+the first round an optimum's weight can still sit below `SUPPORT_THRESHOLD`:
+any row neither solve finishes has its support cut and then takes one more
+growth pass of at most `MAX_GROWTH_STEPS` steps.
 
 Let K be 1 + the largest second-highest vertex of an edge, so no edge holds
 two vertices >= K. If each edge A + v with v > K has A + K as an edge too,
@@ -183,9 +187,8 @@ def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
         )
     T = np.zeros(n**r)
     place = n ** np.arange(r - 1, -1, -1)
-    eidx = _edge_index(g)
-    for perm in permutations(range(r)):
-        T[eidx[:, perm] @ place] = 1.0 / factorial(r - 1)
+    perms = np.array(list(permutations(range(r))))
+    T[(_edge_index(g)[:, perms] @ place).ravel()] = 1.0 / factorial(r - 1)
     return T.reshape(n ** (r - 1), n)
 
 
@@ -354,13 +357,21 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
     Returns (Y, accepted): Y holds each accepted row's point and every other
     row of X0 as it was. Each row solves d_F(x) = mu, sum(x_F) = 1 on its
     face F (the weights above `FACE_RATIO` of its largest), whose Jacobian
-    in x_F is the pair-link matrix H = (r-1) L x^(r-2). A face shrinks when
-    a step drives a weight to zero or below (the weight that fell most, as
-    a ratio, goes; Newton restarts from the row's x0 on the smaller face),
-    when the system is singular (the smallest weight goes) and when a
-    converged weight is below the face ratio. A row is rejected after 40
-    iterations on one face. A point is accepted only if its KKT residual is
-    at most `KKT_TOLERANCE` and its value is at least its x0's, less 1e-15.
+    in x_F is the pair-link matrix H = (r-1) L x^(r-2). A face shrinks, and
+    Newton restarts from the row's x0 on the smaller face, when
+
+    - an iterate has a weight below the face ratio, which goes;
+    - a step has halved a weight on three iterations running, which goes;
+    - a step drives a weight to zero or below (the weight that fell most,
+      as a ratio, goes);
+    - the system is singular (the smallest weight goes).
+
+    The first two act before the others. They drop early a weight that would
+    otherwise go later, by one of the last two rules or below the face ratio
+    once the row converges, so they save iterations and, on the claim checks,
+    move no accepted point. A row is rejected after 40 iterations on one
+    face. A point is accepted only if its KKT residual is at most
+    `KKT_TOLERANCE` and its value is at least its x0's, less 1e-15.
 
     The rows still iterating are solved as one stack of (n+1) x (n+1)
     systems, so each row keeps its own face, multiplier and iteration
@@ -374,6 +385,8 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
     y /= y.sum(axis=1, keepdims=True)
     # a row new to its face has mu = nan, set from its first iterate there
     mu, its, fresh = np.full(B, np.nan), np.zeros(B, dtype=np.int64), True
+    # iterations running on which Newton's step halved each weight
+    halved = np.zeros((B, n), dtype=np.int64)
     eye = np.eye(n)
     while rows.size:
         M = _pair_links(L, r, y)
@@ -394,17 +407,23 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
         K[:, :n, n] = -K[:, n, :n]
         step, singular = _solve_rows(K, rhs)
         new = np.where(f, y + step[:, :n], 0.0)
-        stop = conv | ((new <= 0.0) & f).any(axis=1)
+        # where the face system is singular at a weight's zero, Newton only
+        # halves that weight each step. A weight within 2% of half its last
+        # value on three iterations running goes: one or two halvings can
+        # still be a weight on its way to a nonzero optimum
+        halved = np.where(f & (np.abs(new - y / 2) < 0.02 * y), halved + 1, 0)
+        low = f & (y < FACE_RATIO * y.max(axis=1, keepdims=True))
+        drop = low | (halved >= 3)
+        stop = conv | drop.any(axis=1) | ((new <= 0.0) & f).any(axis=1)
         stop[singular] = True
         # a converged row with no face weight below the face ratio is done
-        low = f & (y < FACE_RATIO * y.max(axis=1, keepdims=True))
         accept = conv & ~low.any(axis=1)
         Y[rows[accept]] = y[accept] / y[accept].sum(axis=1, keepdims=True)
         done[rows[accept]] = True
         leave = np.flatnonzero(accept).tolist()
         for i in np.flatnonzero(stop & ~accept):
-            if conv[i]:
-                f[i] &= ~low[i]
+            if drop[i].any():
+                f[i] &= ~drop[i]
             else:
                 face = np.flatnonzero(f[i])
                 worst = y[i, face] if i in singular else new[i, face] / y[i, face]
@@ -416,12 +435,14 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
             # its mu nan and its count 0
             new[i] = np.where(f[i], x0[i], 0.0)
             new[i] /= new[i].sum()
-            step[i, n], mu[i], its[i], fresh = 0.0, np.nan, -1, True
+            step[i, n], mu[i], its[i], halved[i], fresh = 0.0, np.nan, -1, 0, True
         y, mu, its = new, mu + step[:, n], its + 1
         if leave or its.max() >= 40:
             keep = its < 40
             keep[leave] = False
-            rows, x0, y, f, mu, its = (a[keep] for a in (rows, x0, y, f, mu, its))
+            rows, x0, y, f, mu, its, halved = (
+                a[keep] for a in (rows, x0, y, f, mu, its, halved)
+            )
 
     fin = np.flatnonzero(done)
     if fin.size:

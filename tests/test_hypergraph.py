@@ -409,6 +409,16 @@ class TestTextFormat:
         assert text == "3 4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
         assert format_hypergraph(parse_hypergraph(text)) == text
 
+    def test_cached_edge_text_matches_the_plain_join(self):
+        # formatted twice, so the second pass reads every edge's text from
+        # the memo
+        g = colex_graph(4, 500)
+        plain = "\n".join(
+            [f"{g.r} {g.n} {g.m}", *(" ".join(str(v) for v in e) for e in g.edges)]
+        ) + "\n"
+        assert format_hypergraph(g) == plain
+        assert format_hypergraph(g) == plain
+
     def test_comments_and_blank_lines(self):
         g = parse_hypergraph("# a comment\n2 3 2\n\n1 2\n# another\n1 3\n")
         assert g.edges == ((1, 2), (1, 3))

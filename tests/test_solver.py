@@ -1,7 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -112,6 +112,31 @@ class TestLinkValue:
         # degree-zero monomials: the empty product counts the edge itself
         view = link(TRIANGLE, {1, 2})
         assert link_value(view, [1 / 3] * 3) == 1.0
+
+
+class TestLinkMatrix:
+    @staticmethod
+    def per_permutation(g):
+        # the reference: one scatter for each ordering of the edges' vertices
+        n, r = g.n, g.r
+        T = np.zeros(n**r)
+        place = n ** np.arange(r - 1, -1, -1)
+        eidx = hyperlag.solver._edge_index(g)
+        for perm in permutations(range(r)):
+            T[eidx[:, perm] @ place] = 1.0 / math.factorial(r - 1)
+        return T.reshape(n ** (r - 1), n)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_one_scatter_matches_the_per_permutation_loop(self, r):
+        import random
+
+        rng = random.Random(r)
+        for _ in range(30):
+            n = rng.randint(r, 8)
+            pool = list(combinations(range(1, n + 1), r))
+            g = hypergraph(r, rng.sample(pool, rng.randint(0, min(30, len(pool)))), n=n)
+            L = hyperlag.solver._link_matrix(g)
+            assert np.array_equal(L, self.per_permutation(g))
 
 
 class TestGrowthStep:
@@ -577,6 +602,37 @@ class TestFaceNewton:
         # one call on the stuck rows, and at most one on the winner
         assert len(calls) <= 2
         assert len(calls[0][2]) == len(self.stuck_rows(SLOW))
+
+    def test_a_weight_newton_keeps_halving_leaves_the_face(self, monkeypatch):
+        # vertex 5 ties 3 * 1/16 at the optimum, so each face system holding
+        # it is singular where its weight is 0, and Newton only halves that
+        # weight: waiting for the residual took 27 stacked solves
+        L = hyperlag.solver._link_matrix(SLOW)
+        X0 = hyperlag.solver._starts(SLOW, HARNESS_SOLVER)
+        steps = hyperlag.solver.FIRST_ROUND_STEPS
+        X1, _, _, its = hyperlag.solver._ascend(L, 3, X0, steps)
+        stuck = X1[its == steps]
+        assert len(stuck) == 12
+        calls = counting(monkeypatch, "_solve_rows")
+        Y, accepted = hyperlag.solver._face_newton(L, 3, stuck)
+        assert len(calls) <= 10
+        assert accepted.all()
+        assert np.abs(Y - [0.25, 0.25, 0.25, 0.25, 0.0]).max() <= 1e-15
+
+    def test_a_weight_halved_twice_on_its_way_to_the_optimum_stays(self):
+        # a conjecture-2.2 core at t=7, whose optimum puts 0.0018 on each of
+        # the twins 6 and 7; Newton can halve those weights on the way there,
+        # and a rule that dropped a weight halved once would end on (1..5)
+        # at 0.07328497889525842
+        edges = (
+            "123 124 134 234 125 135 235 145 245 126 136 236 146"
+            " 156 127 137 237 147 157 167 128 138 148 158 168 178"
+        )
+        g = hypergraph(3, [tuple(map(int, e)) for e in edges.split()])
+        rep = solve(g, HARNESS_SOLVER)
+        assert rep.value == 0.07328498496379258
+        assert rep.support == (1, 2, 3, 4, 5, 6, 7)
+        assert [round(w, 4) for w in rep.weighting[5:7]] == [0.0018, 0.0018]
 
     def test_newton_stacks_fit_the_entry_limit(self, monkeypatch):
         # the slow graph's start batch needs 16 * 5^2 = 400 entries, and its
