@@ -105,8 +105,8 @@ MAX_GROWTH_STEPS = 50_000
 FACE_RATIO = 1e-4
 #: Weights at or below this are off the support.
 SUPPORT_THRESHOLD = 1e-9
-#: Most entries a link matrix, a start batch's gradient or a chunk of
-#: face-Newton systems holds, 8 MB of float64.
+#: Most entries a link matrix, the index scratch that fills it, a start
+#: batch's gradient or a chunk of face-Newton systems holds, 8 MB of float64.
 MAX_LINK_ENTRIES = 1_000_000
 #: Most reports `solve` keeps, dropping the least recently used first.
 SOLVE_MEMO_SIZE = 4096
@@ -187,8 +187,13 @@ def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
         )
     T = np.zeros(n**r)
     place = n ** np.arange(r - 1, -1, -1)
-    perms = np.array(list(permutations(range(r))))
-    T[(_edge_index(g)[:, perms] @ place).ravel()] = 1.0 / factorial(r - 1)
+    eidx, perms = _edge_index(g), np.array(list(permutations(range(r))))
+    # k orderings scatter at once through m k r labels and m k places: the
+    # most that keep those within MAX_LINK_ENTRIES, and at least one. That
+    # is all r! of them unless m r! nears n^r, as in a complete graph
+    k = max(1, MAX_LINK_ENTRIES // max(1, g.m * (r + 1)))
+    for i in range(0, len(perms), k):
+        T[(eidx[:, perms[i : i + k]] @ place).ravel()] = 1.0 / factorial(r - 1)
     return T.reshape(n ** (r - 1), n)
 
 
@@ -368,8 +373,10 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
 
     The first two act before the others. They drop early a weight that would
     otherwise go later, by one of the last two rules or below the face ratio
-    once the row converges, so they save iterations and, on the claim checks,
-    move no accepted point. A row is rejected after 40 iterations on one
+    once the row converges, so they save iterations. That the row then ends
+    where it would have is measured, not guaranteed, as the restart takes a
+    new path: no claim check's report moves, and BENCH_28.json counts the
+    replayed rows that do. A row is rejected after 40 iterations on one
     face. A point is accepted only if its KKT residual is at most
     `KKT_TOLERANCE` and its value is at least its x0's, less 1e-15.
 
@@ -409,8 +416,9 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
         new = np.where(f, y + step[:, :n], 0.0)
         # where the face system is singular at a weight's zero, Newton only
         # halves that weight each step. A weight within 2% of half its last
-        # value on three iterations running goes: one or two halvings can
-        # still be a weight on its way to a nonzero optimum
+        # value on three iterations running goes. Fewer is too soon: a weight
+        # halved once can be on its way to a nonzero optimum, and a row that
+        # drops a weight halved twice can fail on the smaller face
         halved = np.where(f & (np.abs(new - y / 2) < 0.02 * y), halved + 1, 0)
         low = f & (y < FACE_RATIO * y.max(axis=1, keepdims=True))
         drop = low | (halved >= 3)

@@ -409,14 +409,12 @@ class TestTextFormat:
         assert text == "3 4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
         assert format_hypergraph(parse_hypergraph(text)) == text
 
-    def test_cached_edge_text_matches_the_plain_join(self):
-        # formatted twice, so the second pass reads every edge's text from
-        # the memo
-        g = colex_graph(4, 500)
+    @pytest.mark.parametrize("r,m", [(2, 0), (2, 1), (3, 7), (4, 500), (5, 1000)])
+    def test_one_pass_format_matches_the_per_edge_join(self, r, m):
+        g = colex_graph(r, m) if m else hypergraph(r, [], n=3)
         plain = "\n".join(
             [f"{g.r} {g.n} {g.m}", *(" ".join(str(v) for v in e) for e in g.edges)]
         ) + "\n"
-        assert format_hypergraph(g) == plain
         assert format_hypergraph(g) == plain
 
     def test_comments_and_blank_lines(self):

@@ -138,6 +138,23 @@ class TestLinkMatrix:
             L = hyperlag.solver._link_matrix(g)
             assert np.array_equal(L, self.per_permutation(g))
 
+    def test_a_complete_graph_scatters_within_the_entry_limit(self, monkeypatch):
+        # K_40^3 at a limit of 40^3 entries: its 9,880 edges in all 6 orders
+        # would take 4 * 6 * 9,880 index entries at once, 3.7 times the limit
+        import tracemalloc
+
+        g = complete_graph(40, 3)
+        monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", 40**3)
+        tracemalloc.start()
+        try:
+            L = hyperlag.solver._link_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(L, self.per_permutation(g))
+        # the matrix, the edge labels and one chunk of scratch
+        assert peak < 3 * 8 * 40**3
+
 
 class TestGrowthStep:
     def test_symmetric_fixed_point(self):
@@ -633,6 +650,27 @@ class TestFaceNewton:
         assert rep.value == 0.07328498496379258
         assert rep.support == (1, 2, 3, 4, 5, 6, 7)
         assert [round(w, 4) for w in rep.weighting[5:7]] == [0.0018, 0.0018]
+
+    def test_a_row_newton_halves_twice_is_still_accepted(self):
+        # a row still moving after FIRST_ROUND_STEPS in a solve of this graph
+        # under SolverConfig(seed=12). Newton halves vertex 7's weight twice
+        # early on; a rule that dropped it then would restart the row on a
+        # face without 7 and reject it there
+        edges = (
+            "124 125 126 127 134 138 145 148 156 157 178 234 236 238 245"
+            " 248 258 267 278 346 348 367 368 378 456 458 467 478 578 678"
+        )
+        g = hypergraph(3, [tuple(map(int, e)) for e in edges.split()])
+        row = [
+            0.14330637949550717, 0.20169973100868896, 0.0006775213150312082,
+            0.24044816055167284, 0.20116421372034138, 1.1337863855895227e-05,
+            0.03606088785476681, 0.17663176819013576,
+        ]
+        L = hyperlag.solver._link_matrix(g)
+        Y, accepted = hyperlag.solver._face_newton(L, 3, np.array([row]))
+        assert accepted.all()
+        assert np.flatnonzero(Y[0]).tolist() == [0, 1, 2, 3, 7]
+        assert abs(evaluate(g, Y[0]) - 0.0672759937243498) <= 1e-15
 
     def test_newton_stacks_fit_the_entry_limit(self, monkeypatch):
         # the slow graph's start batch needs 16 * 5^2 = 400 entries, and its
