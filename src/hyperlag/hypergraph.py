@@ -162,20 +162,51 @@ def left_compress(g: RUniformHypergraph) -> RUniformHypergraph:
     closed, so it is never replaced: its descendants lie below the replaced
     edge and colex before the replacement, so they are edges.
     """
-    edges, closed = set(g.edges), set()
+    closed = set()
     for e in g.edges:  # colex order: each direct descendant comes first
         if all(d in closed for d in _direct_descendants(e)):
             closed.add(e)
     if len(closed) == g.m:
         return g
+    edges, firsts = set(g.edges), {}
+    for e in g.edges:
+        firsts[e[1:]] = firsts.get(e[1:], 0) | 1 << e[0]
     for e in reversed(g.edges):
         if e in closed:
             continue
-        d = next((d for d in _colex_down_set(e) if d not in edges), None)
+        d = _least_hole(e, firsts)
         if d is not None:
             edges.remove(e)
             edges.add(d)
+            firsts[e[1:]] ^= 1 << e[0]
+            firsts[d[1:]] = firsts.get(d[1:], 0) | 1 << d[0]
     return RUniformHypergraph(g.r, g.n, tuple(sorted(edges, key=_colex_key)))
+
+
+def _least_hole(e: RSet, firsts: dict[RSet, int]) -> RSet | None:
+    """The colex-least set that e dominates coordinatewise and that is no
+    edge, or None; `firsts` maps each tail, the labels after the first, to
+    the bitmask of the first labels of the edges with that tail.
+
+    The tails e dominates are walked in colex order, the tail's last label
+    outermost, by one odometer; a mask test checks every first label under
+    a tail at once, so the walk takes one step per tail, not per set, and
+    lists nothing.
+    """
+    first, top, t = e[0], e[1:], list(range(2, len(e) + 1))
+    last = len(t) - 1
+    while True:
+        cap = first if first < t[0] else t[0] - 1
+        missing = ((2 << cap) - 2) & ~firsts.get(tuple(t), 0)
+        if missing:
+            return ((missing & -missing).bit_length() - 1, *t)
+        for k in range(last + 1):  # raise the lowest label that can rise, reset those below
+            if t[k] < top[k] and (k == last or t[k] + 1 < t[k + 1]):
+                t[k] += 1
+                t[:k] = range(2, k + 2)
+                break
+        else:
+            return None
 
 
 def _colex_down_set(a: RSet) -> Iterator[RSet]:
@@ -193,21 +224,33 @@ def _colex_down_set(a: RSet) -> Iterator[RSet]:
     return walk(len(a), a[-1] + 1)
 
 
-def _clique_links(g: RUniformHypergraph) -> dict[tuple[int, ...], set[int]]:
-    """Each (r-1)-subset of an edge, mapped to the vertices completing it to an edge."""
-    links: dict[tuple[int, ...], set[int]] = {}
+def _clique_links(g: RUniformHypergraph) -> tuple[dict[tuple[int, ...], int], int]:
+    """Each (r-1)-subset of an edge, mapped to the bitmask of the vertices
+    completing it to an edge, bit v for vertex v; and the bitmask of the
+    vertices in an edge."""
+    links: dict[tuple[int, ...], int] = {}
     for e in g.edges:
         for i in range(g.r):
-            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
-    return links
+            s = e[:i] + e[i + 1 :]
+            links[s] = links.get(s, 0) | 1 << e[i]
+    active = 0
+    for mask in links.values():
+        active |= mask
+    return links, active
 
 
-def _extenders(links: dict, r: int, clique: list[int], active: set[int]) -> set[int]:
-    """The vertices that complete each (r-1)-subset of the ascending `clique`
-    to an edge, by `_clique_links`; `active` while it has fewer than r-1."""
-    if len(clique) < r - 1:
-        return active
-    return set.intersection(*(links.get(s, set()) for s in combinations(clique, r - 1)))
+def _extenders(links: dict, r: int, clique: list[int], ext: int, v: int) -> int:
+    """The bitmask of the vertices that complete each (r-1)-subset of
+    clique + [v] to an edge, given `ext`, that of the ascending `clique`, and
+    v above it: only the new subsets, those holding v, cut it."""
+    for s in combinations(clique, r - 2):
+        ext &= links.get(s + (v,), 0)
+    return ext
+
+
+def _above(ext: int, clique: list[int]) -> int:
+    """The bits of `ext` past the last vertex of `clique`."""
+    return ext >> clique[-1] + 1 << clique[-1] + 1 if clique else ext
 
 
 def max_clique_order(g: RUniformHypergraph) -> int:
@@ -228,26 +271,26 @@ def max_clique_order(g: RUniformHypergraph) -> int:
 
 def _max_clique_witness(g: RUniformHypergraph) -> tuple[int, ...]:
     """One maximum clique, found by ordered DFS with a cardinality prune."""
-    active = {v for e in g.edges for v in e}
-    links = _clique_links(g)
+    links, active = _clique_links(g)
     best: tuple[int, ...] = g.edges[0]
 
-    def extend(clique: list[int], cands: list[int]):
+    def extend(clique: list[int], ext: int):
         nonlocal best
         if len(clique) > len(best):
             best = tuple(clique)
-        if len(clique) + len(cands) <= len(best):
-            return
-        ext = _extenders(links, g.r, clique, active)
-        for i, v in enumerate(cands):
-            if len(clique) + len(cands) - i <= len(best):
+        above = _above(ext, clique)
+        while above:
+            v = (above & -above).bit_length() - 1
+            above &= above - 1
+            # the vertices from v up are all the clique can still gain
+            if len(clique) + (active >> v).bit_count() <= len(best):
                 return
-            if v in ext:
-                clique.append(v)
-                extend(clique, cands[i + 1 :])
-                clique.pop()
+            sub = _extenders(links, g.r, clique, ext, v)
+            clique.append(v)
+            extend(clique, sub)
+            clique.pop()
 
-    extend([], sorted(active))
+    extend([], active)
     return best
 
 
@@ -261,31 +304,30 @@ def maximal_cliques(
     """
     if g.m == 0:
         return []
-    active = {v for e in g.edges for v in e}
-    links = _clique_links(g)
+    links, active = _clique_links(g)
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def extend(clique: list[int], cands: list[int]):
+    def extend(clique: list[int], ext: int):
         nonlocal nodes
         nodes += 1
         if nodes > CLIQUE_NODE_BUDGET:
             raise ResourceLimitError("clique enumeration node budget exceeded")
-        ext = _extenders(links, g.r, clique, active)
-        extended = False
-        for i, v in enumerate(cands):
-            if v in ext:
-                extended = True
-                clique.append(v)
-                extend(clique, cands[i + 1 :])
-                clique.pop()
         # no vertex extends a maximal clique; one of order >= r - 1 has no
         # extenders inside it
-        if not extended and len(clique) >= g.r and not ext:
+        if not ext and len(clique) >= g.r:
             found.append(tuple(clique))
+        above = _above(ext, clique)
+        while above:
+            v = (above & -above).bit_length() - 1
+            above &= above - 1
+            sub = _extenders(links, g.r, clique, ext, v)
+            clique.append(v)
+            extend(clique, sub)
+            clique.pop()
 
     try:
-        extend([], sorted(active))
+        extend([], active)
     except ResourceLimitError:
         found = [_max_clique_witness(g)]
     found.sort(key=lambda c: (-len(c), c))

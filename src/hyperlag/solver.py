@@ -13,11 +13,13 @@ step is needed. Restart trials are independent; they are executed batched and
 reduced to the earliest KKT point within 1e-15 of the best value (`solve`), so
 the report for a fixed seed does not depend on scheduling.
 
-The link values come from one dense matrix per graph: the link tensor, with
-a 1/(r-1)! entry for each ordering of each edge, as an (n^(r-1), n) matrix.
-One kernel, `_pair_links`, multiplies an outer power of the weights by it:
-the pair-link matrices L x^(r-2) are Newton's Jacobian up to r-1, and one
-more contraction with x gives the link values d; the objective is x . d / r.
+The link values come from one matrix per graph, built from its shadow, the
+(r-2)-sets inside an edge: a row for each, holding 1/(r-1) at each ordered
+pair that completes it to an edge (`_link_matrix`). One kernel,
+`_pair_links`, multiplies each weighting's products over the shadow sets by
+it: the pair-link matrices L x^(r-2) are Newton's Jacobian up to r-1, and
+one more contraction with x gives the link values d; the objective is
+x . d / r.
 
 First-order optimality at a weighting with minimal support means every
 supported vertex sees the same link value, equal to r times the objective,
@@ -66,11 +68,13 @@ point. A 2-graph star is no cone here, since its link would be 1-uniform.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -105,9 +109,11 @@ MAX_GROWTH_STEPS = 50_000
 FACE_RATIO = 1e-4
 #: Weights at or below this are off the support.
 SUPPORT_THRESHOLD = 1e-9
-#: Most entries a link matrix, the index scratch that fills it, a start
-#: batch's gradient or a chunk of face-Newton systems holds, 8 MB of float64.
+#: Most entries a start batch's gradient or a chunk of face-Newton systems
+#: holds, 8 MB of float64, and most n^r for a link matrix (`_link_matrix`).
 MAX_LINK_ENTRIES = 1_000_000
+#: A graph's pair links, as `_link_matrix` builds them: (shadow sets, block).
+Links = tuple[np.ndarray, np.ndarray]
 #: Most reports `solve` keeps, dropping the least recently used first.
 SOLVE_MEMO_SIZE = 4096
 
@@ -172,12 +178,20 @@ def _edge_index(g: RUniformHypergraph) -> np.ndarray:
     return np.asarray(g.edges, dtype=np.int64).reshape(g.m, g.r) - 1
 
 
-def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
-    """The link tensor as an (n^(r-1), n) matrix, divided by (r-1)!.
+def _link_matrix(g: RUniformHypergraph) -> Links:
+    """The pair links of g's shadow: (sets, block).
 
-    Row (i_1, ..., i_{r-1}), an ordered tuple read as a base-n number, and
-    column v hold 1/(r-1)! when {i_1, ..., i_{r-1}, v} is an edge. Raises
-    ResourceLimitError past `MAX_LINK_ENTRIES`, before allocating.
+    The shadow is every (r-2)-set inside an edge, and `sets` holds its
+    0-based labels, shape (r-2, s), one column per set in lexicographic
+    order. `block` has a row per set and n^2 columns: row S and column
+    (i, j), read as a base-n number, hold 1/(r-1) when S + {i, j} is an
+    edge, which is the link tensor (1/(r-1)! per ordering) summed over the
+    (r-2)! orderings of S. At r <= 3 every (r-2)-set gets a row, the empty
+    set at r = 2 and each vertex at r = 3, so `block` is the link tensor
+    as an (n^(r-2), n^2) matrix. Raises ResourceLimitError when n^r passes
+    `MAX_LINK_ENTRIES`, before allocating: the block has at most n^r
+    entries, and each index array that fills it, m r (r-1) keys, at most
+    n^r too.
     """
     n, r = g.n, g.r
     if n**r > MAX_LINK_ENTRIES:
@@ -185,16 +199,32 @@ def _link_matrix(g: RUniformHypergraph) -> np.ndarray:
             f"link matrix limit exceeded: n^r = {n}^{r} = {n**r} entries"
             f" > MAX_LINK_ENTRIES = {MAX_LINK_ENTRIES}"
         )
-    T = np.zeros(n**r)
-    place = n ** np.arange(r - 1, -1, -1)
-    eidx, perms = _edge_index(g), np.array(list(permutations(range(r))))
-    # k orderings scatter at once through m k r labels and m k places: the
-    # most that keep those within MAX_LINK_ENTRIES, and at least one. That
-    # is all r! of them unless m r! nears n^r, as in a complete graph
-    k = max(1, MAX_LINK_ENTRIES // max(1, g.m * (r + 1)))
-    for i in range(0, len(perms), k):
-        T[(eidx[:, perms[i : i + k]] @ place).ravel()] = 1.0 / factorial(r - 1)
-    return T.reshape(n ** (r - 1), n)
+    # each edge's labels in every order that ends in an ordered pair (i, j),
+    # as a base-n number: the key of the other r-2, then i, then j
+    keys = _edge_index(g) @ n ** _pair_orders(r)
+    if r <= 3:  # every (r-2)-set is a row, so a key is its entry's flat index
+        sets = np.arange(n ** (r - 2))
+    else:
+        # rows for the shadow's sets only, found by marking their keys (not
+        # by np.unique, which imports numpy.ma on its first call)
+        rest, pair = np.divmod(keys, n * n)
+        shadow = np.zeros(n ** (r - 2), dtype=bool)
+        shadow[rest] = True
+        sets, keys = np.flatnonzero(shadow), (np.cumsum(shadow)[rest] - 1) * (n * n) + pair
+    block = np.zeros((sets.size, n * n))
+    block.ravel()[keys] = 1.0 / (r - 1)
+    return sets // n ** np.arange(r - 3, -1, -1)[:, None] % n, block
+
+
+@lru_cache(maxsize=None)
+def _pair_orders(r: int) -> np.ndarray:
+    """Base-n place exponents, (r, r(r-1)): column (a, b) reads an edge's
+    labels at the positions other than a and b in ascending order, then at
+    a, then at b."""
+    orders = [(*(k for k in range(r) if k not in p), *p) for p in permutations(range(r), 2)]
+    exponents = (r - 1 - np.argsort(orders, axis=1)).T
+    exponents.flags.writeable = False  # shared by every call through the cache
+    return exponents
 
 
 def _as_weights(g: RUniformHypergraph, x: Sequence[float]) -> np.ndarray:
@@ -234,33 +264,33 @@ def evaluate_exact(g: RUniformHypergraph, weights: Sequence) -> Fraction:
     return total
 
 
-def _batch_grad(L: np.ndarray, r: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batch_grad(L: Links, r: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Link values at every vertex and objective values, per batch row.
 
     At r >= 3 the pair links `_pair_links` builds are contracted once more
-    with the row itself. Stopping one degree short keeps the outer power at
-    n^(r-2) entries per row; at r = 4 the one-stage form, with n^3 entries
-    per row, was two to three times slower.
+    with the row itself. Stopping one degree short keeps the weight
+    products at one per shadow set and row; at r = 4 the one-stage form,
+    with n^3 entries per row, was two to three times slower.
     """
-    grad = X @ L if r == 2 else np.einsum("bk,bkv->bv", X, _pair_links(L, r, X))
+    n = X.shape[1]
+    grad = X @ L[1].reshape(n, n) if r == 2 else np.einsum("bk,bkv->bv", X, _pair_links(L, r, X))
     return grad, np.einsum("bv,bv->b", X, grad) / r
 
 
-def _pair_links(L: np.ndarray, r: int, Y: np.ndarray) -> np.ndarray:
-    """The pair-link matrices L y^(r-2) of the rows of Y, broadcasting to
-    (B, n, n): L at r = 2, else one matmul of each row's outer power of
-    degree r-2 with L viewed as (n^(r-2), n^2)."""
+def _pair_links(L: Links, r: int, Y: np.ndarray) -> np.ndarray:
+    """The pair-link matrices of the rows of Y, broadcasting to (B, n, n):
+    the 2-graph's adjacency at r = 2, else each row's weight products over
+    the shadow sets, times the block of `_link_matrix`."""
+    sets, block = L
     B, n = Y.shape
     if r == 2:
-        return L[None]
-    P = Y
-    for k in range(2, r - 1):
-        P = (P[:, :, None] * Y[:, None, :]).reshape(B, n**k)
-    return (P @ L.reshape(n ** (r - 2), n * n)).reshape(B, n, n)
+        return block.reshape(1, n, n)
+    P = Y if r == 3 else Y[:, sets].prod(axis=1)  # at r = 3 the rows are the vertices
+    return (P @ block).reshape(B, n, n)
 
 
 def _ascend(
-    L: np.ndarray, r: int, X0: np.ndarray, max_steps: int
+    L: Links, r: int, X0: np.ndarray, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run growth updates on each row until its gain drops below the floor.
 
@@ -316,16 +346,17 @@ def _kkt_rows(X: np.ndarray, grad: np.ndarray, vals: np.ndarray, r: int) -> np.n
     return sup + np.maximum(off, 0.0)
 
 
-def _value_kkt(L: np.ndarray, r: int, x: np.ndarray) -> tuple[float, float]:
+def _value_kkt(L: Links, r: int, x: np.ndarray) -> tuple[float, float]:
     """Objective value and KKT residual of one weighting."""
     grad, val = _batch_grad(L, r, x[None, :])
     return float(val[0]), float(_kkt_rows(x[None, :], grad, val, r)[0])
 
 
-def sorted_polish(L: np.ndarray, r: int, x: Sequence[float]) -> np.ndarray:
+def sorted_polish(L: Links, r: int, x: Sequence[float]) -> np.ndarray:
     """Reassign weights in non-increasing label order, then re-converge.
 
-    L is the graph's link matrix (`_link_matrix`) and r its uniformity.
+    L is the graph's pair links (`_link_matrix`), the ones its trials ran
+    on, and r its uniformity.
     Meant for left-compressed graphs, the only ones `solve` polishes. There
     the descending reassignment never decreases the objective, some optimal
     weighting is non-increasing, and a growth step keeps a non-increasing
@@ -356,7 +387,7 @@ def _solve_rows(K: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return x, singular
 
 
-def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _face_newton(L: Links, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """KKT points on the faces of the rows of `X0`, by Newton's method.
 
     Returns (Y, accepted): Y holds each accepted row's point and every other
@@ -394,7 +425,14 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
     mu, its, fresh = np.full(B, np.nan), np.zeros(B, dtype=np.int64), True
     # iterations running on which Newton's step halved each weight
     halved = np.zeros((B, n), dtype=np.int64)
+    # the bordered systems, kept across iterations: each iteration refills
+    # the face blocks, and a row's border and the identity rows that pin its
+    # weights off the face change only with its face
     eye = np.eye(n)
+    K = np.zeros((B, n + 1, n + 1))
+    K[:, :n, :n], K[:, n, :n] = eye, f
+    K[:, :n, n] = -K[:, n, :n]
+    block = f[:, :, None] & f[:, None, :]
     while rows.size:
         M = _pair_links(L, r, y)
         d = (M @ y[:, :, None])[:, :, 0]
@@ -407,11 +445,7 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
             (np.where(f, mu[:, None] - d, 0.0), 1.0 - y.sum(axis=1, keepdims=True)), axis=1
         )
         conv = np.abs(rhs).max(axis=1) <= 1e-15
-        # identity rows pin the weights off the face
-        K = np.zeros((rows.size, n + 1, n + 1))
-        K[:, :n, :n] = np.where(f[:, :, None] & f[:, None, :], (r - 1) * M, eye)
-        K[:, n, :n] = f
-        K[:, :n, n] = -K[:, n, :n]
+        np.copyto(K[:, :n, :n], (r - 1) * M, where=block)
         step, singular = _solve_rows(K, rhs)
         new = np.where(f, y + step[:, :n], 0.0)
         # where the face system is singular at a weight's zero, Newton only
@@ -424,32 +458,37 @@ def _face_newton(L: np.ndarray, r: int, X0: np.ndarray) -> tuple[np.ndarray, np.
         drop = low | (halved >= 3)
         stop = conv | drop.any(axis=1) | ((new <= 0.0) & f).any(axis=1)
         stop[singular] = True
-        # a converged row with no face weight below the face ratio is done
-        accept = conv & ~low.any(axis=1)
-        Y[rows[accept]] = y[accept] / y[accept].sum(axis=1, keepdims=True)
-        done[rows[accept]] = True
-        leave = np.flatnonzero(accept).tolist()
-        for i in np.flatnonzero(stop & ~accept):
-            if drop[i].any():
-                f[i] &= ~drop[i]
-            else:
-                face = np.flatnonzero(f[i])
-                worst = y[i, face] if i in singular else new[i, face] / y[i, face]
-                f[i, face[np.argmin(worst)]] = False
-            if not f[i].any():
-                leave.append(i)
-                continue
-            # restart from x0 on the smaller face; the update below leaves
-            # its mu nan and its count 0
-            new[i] = np.where(f[i], x0[i], 0.0)
-            new[i] /= new[i].sum()
-            step[i, n], mu[i], its[i], halved[i], fresh = 0.0, np.nan, -1, 0, True
+        leave = []
+        if stop.any():
+            # a converged row with no face weight below the face ratio is done
+            accept = conv & ~low.any(axis=1)
+            Y[rows[accept]] = y[accept] / y[accept].sum(axis=1, keepdims=True)
+            done[rows[accept]] = True
+            leave = np.flatnonzero(accept).tolist()
+            for i in np.flatnonzero(stop & ~accept):
+                if drop[i].any():
+                    f[i] &= ~drop[i]
+                else:
+                    face = np.flatnonzero(f[i])
+                    worst = y[i, face] if i in singular else new[i, face] / y[i, face]
+                    f[i, face[np.argmin(worst)]] = False
+                if not f[i].any():
+                    leave.append(i)
+                    continue
+                # restart from x0 on the smaller face; the update below leaves
+                # its mu nan and its count 0
+                new[i] = np.where(f[i], x0[i], 0.0)
+                new[i] /= new[i].sum()
+                step[i, n], mu[i], its[i], halved[i], fresh = 0.0, np.nan, -1, 0, True
+                block[i] = f[i, :, None] & f[i]
+                K[i, :n, :n], K[i, n, :n] = eye, f[i]
+                K[i, :n, n] = -K[i, n, :n]
         y, mu, its = new, mu + step[:, n], its + 1
         if leave or its.max() >= 40:
             keep = its < 40
             keep[leave] = False
-            rows, x0, y, f, mu, its, halved = (
-                a[keep] for a in (rows, x0, y, f, mu, its, halved)
+            rows, x0, y, f, mu, its, halved, K, block = (
+                a[keep] for a in (rows, x0, y, f, mu, its, halved, K, block)
             )
 
     fin = np.flatnonzero(done)
@@ -512,15 +551,22 @@ def solve(g: RUniformHypergraph, config: SolverConfig | None = None) -> SolveRep
     `SolverConfig()`), at most `SOLVE_MEMO_SIZE` of them: a repeat call
     returns the same frozen report, or pads it anew. Errors are not
     memoized. Raises ResourceLimitError, before building the trials, when
-    their gradient or, at r >= 5, outer power would hold more than
-    `MAX_LINK_ENTRIES` entries; the Newton solve runs in chunks that fit it.
+    their gradient or, at r >= 5, n^(r-2) products per trial, as many as
+    the shadow can have, would pass `MAX_LINK_ENTRIES` entries; the Newton
+    solve runs in chunks that fit it.
     """
     cfg = config or SolverConfig()
-    k = max((e[-2] + 1 for e in g.edges), default=g.n)
-    link_k = {e[:-1] for e in g.edges if e[-1] == k}
-    if k == g.n or any(e[-1] > k and e[:-1] not in link_k for e in g.edges):
+    k = max(map(itemgetter(-2), g.edges), default=g.n - 1) + 1
+    if k == g.n:
         return _solve(g, cfg)
-    rep = _solve(RUniformHypergraph(g.r, k, tuple(e for e in g.edges if e[-1] <= k)), cfg)
+    # colex order sorts the edges by their top label, so those with top label
+    # k and then those past it end the list
+    at = bisect_left(g.edges, k, key=itemgetter(-1))
+    past = bisect_right(g.edges, k, lo=at, key=itemgetter(-1))
+    link_k = {e[:-1] for e in g.edges[at:past]}
+    if not all(e[:-1] in link_k for e in g.edges[past:]):
+        return _solve(g, cfg)
+    rep = _solve(RUniformHypergraph(g.r, k, g.edges[:past]), cfg)
     pad = (0.0,) * (g.n - k)
     return replace(rep, weighting=rep.weighting + pad, raw_weighting=rep.raw_weighting + pad)
 
@@ -565,11 +611,12 @@ def _solve(g: RUniformHypergraph, cfg: SolverConfig) -> SolveReport:
     return _multistart(g, L, cfg)
 
 
-def _multistart(g: RUniformHypergraph, L: np.ndarray, cfg: SolverConfig) -> SolveReport:
+def _multistart(g: RUniformHypergraph, L: Links, cfg: SolverConfig) -> SolveReport:
     """`solve`'s trials, Newton solves and polish on g itself, which has an edge."""
     n = g.n
-    # the largest array of the batch: at r <= 4 the gradient `_batch_grad`
-    # returns, at r >= 5 the outer power of `_pair_links`, n^(r-2) per row
+    # the largest array of the batch: at r <= 4 what `_batch_grad` returns,
+    # the link values at r = 2 and the pair links above, at r >= 5 the
+    # shadow products of `_pair_links`, at most n^(r-2) per row
     k = max(min(g.r - 1, 2), g.r - 2)
     if cfg.restarts * n**k > MAX_LINK_ENTRIES:
         raise ResourceLimitError(

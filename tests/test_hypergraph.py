@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import combinations
 from math import comb
 
@@ -65,6 +66,59 @@ def brute_maximal_cliques(g):
         if not any(tuple(sorted(c + (v,))) in cliques for v in verts if v not in c)
     ]
     return sorted(maximal, key=lambda c: (-len(c), c))
+
+
+def set_based_cliques(g, budget):
+    """The reference: the clique DFS over sets, intersecting every
+    (r-1)-subset's link afresh at each node. Returns (maximal cliques of
+    order >= r, largest first, or None past `budget` nodes; one maximum
+    clique)."""
+    active = {v for e in g.edges for v in e}
+    links = {}
+    for e in g.edges:
+        for i in range(g.r):
+            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+
+    def extenders(clique):
+        if len(clique) < g.r - 1:
+            return active
+        return set.intersection(*(links.get(s, set()) for s in combinations(clique, g.r - 1)))
+
+    found, nodes, best = [], 0, g.edges[0]
+
+    def maximal(clique, cands):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError("budget")
+        ext = extenders(clique)
+        extended = False
+        for i, v in enumerate(cands):
+            if v in ext:
+                extended = True
+                maximal(clique + [v], cands[i + 1 :])
+        if not extended and len(clique) >= g.r and not ext:
+            found.append(tuple(clique))
+
+    def largest(clique, cands):
+        nonlocal best
+        if len(clique) > len(best):
+            best = tuple(clique)
+        if len(clique) + len(cands) <= len(best):
+            return
+        ext = extenders(clique)
+        for i, v in enumerate(cands):
+            if len(clique) + len(cands) - i <= len(best):
+                return
+            if v in ext:
+                largest(clique + [v], cands[i + 1 :])
+
+    largest([], sorted(active))
+    try:
+        maximal([], sorted(active))
+    except ResourceLimitError:
+        return None, best
+    return sorted(found, key=lambda c: (-len(c), c)), best
 
 
 class TestConstructors:
@@ -332,6 +386,25 @@ class TestCompression:
         assert moved > 500
 
 
+    def test_a_wide_star_compresses_without_listing_its_sets(self, monkeypatch):
+        # the star {1, t}, 2 <= t <= 1500, plus {3, 1500}: a recursive down-set
+        # walk once hit RecursionError here, and listing the 2-subsets of
+        # [1500] passes MAX_TABLE_SETS. The restart-from-the-top loop replaces
+        # {3, 1500}, the one open edge, by its colex-least missing descendant
+        # {2, 3}, and then every edge is closed
+        def listing(*args):
+            raise AssertionError("left_compress listed r-sets")
+
+        for module in (hyperlag.colex, sys.modules["hyperlag.hypergraph"]):
+            monkeypatch.setattr(module, "colex_sets", listing)
+        star = [(1, t) for t in range(2, 1501)]
+        g = hypergraph(2, star + [(3, 1500)])
+        t0 = time.perf_counter()
+        out = left_compress(g)
+        assert time.perf_counter() - t0 < 0.1
+        assert out == hypergraph(2, star + [(2, 3)], n=1500)
+
+
 class TestCliques:
     def test_examples(self):
         assert max_clique_order(complete_graph(5, 3)) == 5
@@ -397,6 +470,28 @@ class TestCliques:
             assert solve(g).value == pytest.approx(motzkin_straus_value(g), abs=1e-12)
         finally:
             solve.cache_clear()
+
+
+    def test_bitmask_search_matches_the_set_based_one(self, monkeypatch):
+        hg = sys.modules["hyperlag.hypergraph"]
+        rng, default, fallbacks = random.Random(29), hg.CLIQUE_NODE_BUDGET, 0
+        for k in range(1200):
+            r = 2 + k % 4
+            n = rng.randint(r, 9)
+            pool = list(combinations(range(1, n + 1), r))
+            g = hypergraph(r, rng.sample(pool, rng.randint(1, min(30, len(pool)))), n=n)
+            # every third graph under a budget of at most 40 nodes, so that
+            # some searches fall back to the maximum clique
+            budget = rng.randint(1, 40) if k % 3 == 0 else default
+            monkeypatch.setattr(hg, "CLIQUE_NODE_BUDGET", budget)
+            found, best = set_based_cliques(g, budget)
+            fallbacks += found is None
+            if found is None:
+                found = [best]
+            assert hg._max_clique_witness(g) == best
+            assert maximal_cliques(g) == found
+            assert maximal_cliques(g, cap=2) == found[:2]
+        assert 100 < fallbacks < 400
 
 
 class TestTextFormat:

@@ -117,7 +117,8 @@ class TestLinkValue:
 class TestLinkMatrix:
     @staticmethod
     def per_permutation(g):
-        # the reference: one scatter for each ordering of the edges' vertices
+        # the reference: the dense link tensor, one scatter for each ordering
+        # of the edges' vertices
         n, r = g.n, g.r
         T = np.zeros(n**r)
         place = n ** np.arange(r - 1, -1, -1)
@@ -126,8 +127,24 @@ class TestLinkMatrix:
             T[eidx[:, perm] @ place] = 1.0 / math.factorial(r - 1)
         return T.reshape(n ** (r - 1), n)
 
+    @classmethod
+    def shadow_rows(cls, g):
+        """The shadow's (r-2)-sets, every one at r <= 3, and the tensor's rows
+        at them, as (n^(r-2), n^2), times (r-2)!: the (r-2)! orderings of a
+        set hold equal rows, which the shadow block sums."""
+        n, r = g.n, g.r
+        if r <= 3:
+            sets = [c for c in combinations(range(1, n + 1), r - 2)]
+        else:
+            sets = sorted({s for e in g.edges for s in combinations(e, r - 2)})
+        T = cls.per_permutation(g).reshape(n ** (r - 2), n * n)
+        keys = [sum((v - 1) * n ** (r - 3 - k) for k, v in enumerate(s)) for s in sets]
+        return sets, T[keys] * math.factorial(r - 2)
+
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_one_scatter_matches_the_per_permutation_loop(self, r):
+        # the shadow block is the dense tensor's shadow rows times (r-2)!,
+        # exactly; at r = 3 it is the tensor itself, reshaped
         import random
 
         rng = random.Random(r)
@@ -135,25 +152,29 @@ class TestLinkMatrix:
             n = rng.randint(r, 8)
             pool = list(combinations(range(1, n + 1), r))
             g = hypergraph(r, rng.sample(pool, rng.randint(0, min(30, len(pool)))), n=n)
-            L = hyperlag.solver._link_matrix(g)
-            assert np.array_equal(L, self.per_permutation(g))
+            labels, block = hyperlag.solver._link_matrix(g)
+            sets, rows = self.shadow_rows(g)
+            assert labels.shape == (r - 2, len(sets))
+            assert [tuple(int(v) + 1 for v in c) for c in labels.T] == sets
+            assert np.array_equal(block, rows)
+            if r == 3:
+                assert np.array_equal(block, self.per_permutation(g).reshape(n, n * n))
 
     def test_a_complete_graph_scatters_within_the_entry_limit(self, monkeypatch):
-        # K_40^3 at a limit of 40^3 entries: its 9,880 edges in all 6 orders
-        # would take 4 * 6 * 9,880 index entries at once, 3.7 times the limit
+        # K_40^3 at a limit of 40^3 entries: the block holds all of them, and
+        # the edge labels and shadow keys that fill it stay within two more
         import tracemalloc
 
         g = complete_graph(40, 3)
         monkeypatch.setattr(hyperlag.solver, "MAX_LINK_ENTRIES", 40**3)
         tracemalloc.start()
         try:
-            L = hyperlag.solver._link_matrix(g)
+            _, block = hyperlag.solver._link_matrix(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(L, self.per_permutation(g))
-        # the matrix, the edge labels and one chunk of scratch
-        assert peak < 3 * 8 * 40**3
+        assert np.array_equal(block, self.shadow_rows(g)[1])
+        assert peak < 3 * block.nbytes
 
 
 class TestGrowthStep:
@@ -813,7 +834,8 @@ class TestSortedPolish:
         finally:
             solve.cache_clear()
         assert len(built) == len(polished) == 1
-        assert polished[0][0].shape == (g.n ** 2, g.n)
+        # at r = 3 each vertex is a row of the shadow block
+        assert polished[0][0][1].shape == (g.n, g.n ** 2)
 
     def test_one_round_keeps_order_and_value(self, monkeypatch):
         # a growth step keeps sorted weights sorted on a left-compressed graph
