@@ -231,19 +231,17 @@ def _dispatch(args) -> int:
                 print(" ".join(str(v) for v in s))
         return EXIT_OK
 
-    if args.command == "verify":
-        report = run_claim(
-            args.claim,
-            t=args.t,
-            r=args.r,
-            m=args.m,
-            config=_solver_config(args, HARNESS_SOLVER),
-        )
-        render = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
-        _emit(render[args.format](report), args.output)
-        return _VERDICT_EXIT[report.verdict]
-
-    raise SystemExit(f"unknown command {args.command!r}")
+    # "verify": argparse refuses any command not handled above
+    report = run_claim(
+        args.claim,
+        t=args.t,
+        r=args.r,
+        m=args.m,
+        config=_solver_config(args, HARNESS_SOLVER),
+    )
+    render = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
+    _emit(render[args.format](report), args.output)
+    return _VERDICT_EXIT[report.verdict]
 
 
 if __name__ == "__main__":

@@ -272,16 +272,10 @@ def _sweep(
             margin, text, value = passed[0]
             found.append(Witness(text, value, reference, margin))
         witnesses.extend(found)
-    verdicts = {row.verdict for row in rows}
     if not rows:
-        overall = "inconclusive"
         scope = f"vacuous: no instances in range; {scope}"
-    elif "fail" in verdicts:
-        overall = "fail"
-    elif "inconclusive" in verdicts:
-        overall = "inconclusive"
-    else:
-        overall = "pass"
+    severity = ("pass", "inconclusive", "fail").index
+    overall = max((row.verdict for row in rows), key=severity, default="inconclusive")
     return VerificationReport(
         claim_id=claim_id,
         parameters=parameters,
@@ -549,7 +543,8 @@ def run_claim(
         groups = [[colex_graph(r, lo)]]
     elif spec.instances == "colex-prefixes":
         parameters = {"r": r, "t": t, "m_min": lo, "m_max": hi}
-        groups = [(colex_graph(r, k) for k in range(lo, hi + 1))]
+        edges = colex_graph(r, hi).edges  # one listing; each prefix is a slice
+        groups = [(RUniformHypergraph(r, edges[k - 1][-1], edges[:k]) for k in range(lo, hi + 1))]
     else:
         ms = [m] if m is not None else _default_m_values(lo, hi, r, t)
         parameters = {"r": r, "t": t, "m_values": ms}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .colex import MAX_TABLE_SETS, RSet, _colex_key, colex_sets, rset
 from .errors import ParseError, ResourceLimitError
@@ -124,12 +124,6 @@ def link(
     return frozenset(members)
 
 
-def descendants(a: Iterable[int]) -> frozenset[RSet]:
-    """Sets dominated coordinatewise by a with strictly smaller sum."""
-    sa = rset(a)
-    return frozenset(_colex_down_set(sa)) - {sa}
-
-
 def _direct_descendants(a: RSet) -> list[RSet]:
     out = []
     for s in range(len(a)):
@@ -207,21 +201,6 @@ def _least_hole(e: RSet, firsts: dict[RSet, int]) -> RSet | None:
                 break
         else:
             return None
-
-
-def _colex_down_set(a: RSet) -> Iterator[RSet]:
-    """The sets a dominates coordinatewise, a itself last, in colex order:
-    the last coordinate outermost and ascending."""
-
-    def walk(k: int, top: int) -> Iterator[RSet]:  # the first k coordinates, each below top
-        if k == 0:
-            yield ()
-            return
-        for v in range(k, min(a[k - 1], top - 1) + 1):
-            for rest in walk(k - 1, v):
-                yield rest + (v,)
-
-    return walk(len(a), a[-1] + 1)
 
 
 def _clique_links(g: RUniformHypergraph) -> tuple[dict[tuple[int, ...], int], int]:
@@ -385,8 +364,6 @@ def parse_hypergraph(text: str) -> RUniformHypergraph:
 
 
 def format_hypergraph(g: RUniformHypergraph) -> str:
-    # one printf-style pass over all the labels, a line of r per edge: a
-    # third of the time of joining each edge's text, with nothing kept
-    # between calls
+    # one printf-style pass over all the labels, a line of r per edge
     line = " ".join(["%d"] * g.r) + "\n"
     return f"{g.r} {g.n} {g.m}\n" + (line * g.m) % tuple(chain.from_iterable(g.edges))

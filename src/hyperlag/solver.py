@@ -269,8 +269,7 @@ def _batch_grad(L: Links, r: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     At r >= 3 the pair links `_pair_links` builds are contracted once more
     with the row itself. Stopping one degree short keeps the weight
-    products at one per shadow set and row; at r = 4 the one-stage form,
-    with n^3 entries per row, was two to three times slower.
+    products at one per shadow set and row.
     """
     n = X.shape[1]
     grad = X @ L[1].reshape(n, n) if r == 2 else np.einsum("bk,bkv->bv", X, _pair_links(L, r, X))

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "complete_graph",
     "complete_lagrangian",
     "complete_lagrangian_exact",
-    "descendants",
     "enumerate_left_compressed",
     "evaluate",
     "evaluate_exact",

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -30,7 +31,8 @@ from hyperlag import (
     solve,
 )
 from hyperlag import harness
-from hyperlag.harness import _RELATIONS, _default_m_values, _sweep
+from hyperlag.colex import colex_sets
+from hyperlag.harness import _RELATIONS, _default_m_values, _edge_hash, _sweep
 
 FAST = SolverConfig(restarts=8)
 
@@ -151,6 +153,23 @@ class TestVerifiers:
         rep = run_claim("lemma-2.2", t=4, r=2, config=FAST)
         assert rep.verdict == "pass"
         assert rep.rows[0].reference == pytest.approx(1 / 3, abs=1e-16)
+
+    def test_colex_prefixes_are_sliced_from_one_listing(self, monkeypatch):
+        # the package attribute `hyperlag.hypergraph` is the function; the
+        # module that `colex_graph` reads `colex_sets` from is in sys.modules
+        calls = []
+
+        def counted(n, r):
+            calls.append((n, r))
+            return colex_sets(n, r)
+
+        for module in (sys.modules["hyperlag.hypergraph"], harness):
+            monkeypatch.setattr(module, "colex_sets", counted)
+        rep = run_claim("lemma-2.2", t=7, r=3, config=FAST)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        hashes = [_edge_hash(format_hypergraph(colex_graph(3, k))) for k in range(20, 31)]
+        assert [row.edge_hash for row in rep.rows] == hashes
 
     def test_sharpness_3_6_exact(self):
         rep = run_claim("sharpness", t=6, r=3)
