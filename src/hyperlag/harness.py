@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .colex import MAX_TABLE_SETS, colex_rank, colex_sets, colex_unrank
+from .colex import colex_rank, colex_sets, colex_unrank
 from .errors import ResourceLimitError
 from .hypergraph import (
     RUniformHypergraph,
@@ -99,8 +99,9 @@ def enumerate_left_compressed(
 
     seed_prefix forces the first `seed_prefix` colex ranks into every graph
     (they always form a down-set); forbidden_ranks excludes specific colex
-    ranks, which also excludes all of their ancestors. Raises
-    ResourceLimitError when the rank tables would hold more than
+    ranks, which also excludes all of their ancestors. The walk keeps one
+    frame per edge past the prefix in a list, so no recursion limit bounds m.
+    Raises ResourceLimitError when the rank tables would hold more than
     `MAX_TABLE_SETS` r-sets or more than `MAX_GRAPHS` graphs come out.
     """
     if r < 2:
@@ -130,21 +131,22 @@ def enumerate_left_compressed(
             da[d].append(a)
 
     present = bytearray(N + 1)
-    current: list[tuple[int, ...]] = []
-    for k in range(1, seed_prefix + 1):
-        present[k] = 1
-        current.append(elements[k - 1])
-
+    present[1 : seed_prefix + 1] = b"\1" * seed_prefix
+    current = elements[:seed_prefix]
     addable0 = [
         e
         for e in range(seed_prefix + 1, N + 1)
         if e not in forbidden and all(d <= seed_prefix for d in dd[e])
     ]
     yielded = 0
-
-    def walk(addable: list[int], size: int) -> Iterator[RUniformHypergraph]:
-        nonlocal yielded
-        if size == m:
+    frames = [[addable0, 0]]  # each: the sorted ranks it may add, how many it tried
+    while frames:
+        addable, i = frame = frames[-1]
+        if i:  # resuming: take the last try back
+            present[addable[i - 1]] = 0
+            current.pop()
+        need = m - len(current)
+        if need == 0:
             yielded += 1
             if yielded > MAX_GRAPHS:
                 raise ResourceLimitError(
@@ -152,11 +154,12 @@ def enumerate_left_compressed(
                 )
             # ranks only grow along a walk, so `current` is in colex order
             yield RUniformHypergraph(r, current[-1][-1], tuple(current))
-            return
-        need = m - size
-        for i, e in enumerate(addable):
-            if N - e < need - 1:
-                break
+            frames.pop()
+        elif i == len(addable) or N - addable[i] < need - 1:
+            frames.pop()
+        else:
+            e = addable[i]
+            frame[1] = i + 1
             present[e] = 1
             current.append(elements[e - 1])
             unlocked = [
@@ -164,11 +167,7 @@ def enumerate_left_compressed(
                 for a in da[e]
                 if a not in forbidden and all(present[d] for d in dd[a])
             ]
-            yield from walk(sorted(addable[i + 1 :] + unlocked), size + 1)
-            present[e] = 0
-            current.pop()
-
-    yield from walk(addable0, seed_prefix)
+            frames.append([sorted(addable[i + 1 :] + unlocked), 0])
 
 
 def lc_max_clique_order(g: RUniformHypergraph) -> int:
@@ -512,10 +511,6 @@ def run_claim(
             f"claim {claim_id} needs t >= {r + spec.min_t_over_r}, got t = {t}"
         )
     lo, hi = spec.m_range(t, r)
-    if spec.instances != "left-compressed" and hi > MAX_TABLE_SETS:
-        raise ResourceLimitError(
-            f"colex prefix limit exceeded: {hi} edges > MAX_TABLE_SETS = {MAX_TABLE_SETS}"
-        )
     if m is not None:
         if spec.instances != "left-compressed":
             raise ValueError(f"claim {claim_id} does not take --m")

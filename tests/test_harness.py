@@ -131,6 +131,12 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_left_compressed(3, m, 6)) == count
         assert len(brute_left_compressed(3, m, 6)) == count
 
+    @pytest.mark.parametrize("r,m,n", [(3, 1140, 20), (2, 1035, 46)])
+    def test_a_deep_walk_needs_no_recursion(self, r, m, n):
+        # the one graph is complete, reached in m steps of the walk: more than
+        # Python's default recursion limit of 1000
+        assert list(enumerate_left_compressed(r, m, n)) == [complete_graph(n, r)]
+
     def test_infeasible_m(self):
         with pytest.raises(ValueError):
             next(enumerate_left_compressed(3, 5, 4))
